@@ -112,7 +112,12 @@ struct LayerRt {
   ProcessGrid grid;
 
   ActTensor y;   ///< output activations (margins: consumers' forward stencils)
-  ActTensor dy;  ///< error wrt output (margins: this layer's transpose stencil)
+  /// Error wrt output, allocated only when dy_live (margins: this layer's
+  /// transpose stencil, only when some input port is live).
+  ActTensor dy;
+  /// dL/dy is consumed: this layer's backward runs (see
+  /// NetworkSpec::gradient_liveness).
+  bool dy_live = false;
 
   /// One port per parent edge.
   struct InputPort {
@@ -123,6 +128,9 @@ struct LayerRt {
     std::unique_ptr<Shuffler<float>> fwd_shuffle;
     std::unique_ptr<DistTensor<float>> bwd_staging;  ///< dx in parent's grid
     std::unique_ptr<Shuffler<float>> bwd_shuffle;
+    /// The parent's dL/dy is consumed, so this layer computes dx for this
+    /// edge. Dead ports allocate no dx, staging or backward shuffle.
+    bool live = false;
     /// Gradient this layer produces wrt this input (this layer's grid).
     DistTensor<float> dx;
     /// Engine tickets of in-flight shuffle ops for this edge (0 = none):
@@ -165,6 +173,10 @@ class Layer {
     const auto s = stencil();
     return s.kernel != 1 || s.stride != 1 || s.pad != 0;
   }
+
+  /// True when init_params allocates trainable parameters — the spec-level
+  /// fact gradient liveness (NetworkSpec::gradient_liveness) starts from.
+  virtual bool has_params() const { return false; }
 
   /// Allocate and initialize parameters into rt (weights are replicated, so
   /// init must be deterministic given the rng).

@@ -318,7 +318,9 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
   const int pc = cgroup.size();
 
   // Refresh dL/dy margins first: every group member shares the same spatial
-  // margin frame, so the gathered buffers stay coherent.
+  // margin frame, so the gathered buffers stay coherent. A dead port leaves
+  // dy without margins (backward-filter reads only the owned box), so there
+  // is nothing to refresh; the allgather still runs for backward-filter.
   rt.dy.ensure_fresh();
 
   const DimPartition& fpart = dyt.dist().c;
@@ -357,6 +359,7 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
                            /*accumulate=*/true);
   }
 
+  if (!port.live) return;
   const Range2 in_owned = owned_range(port.dx.owned_box());
   if (c_loc > 0) {
     kernels::conv2d_backward_data(scratch->dy_full, dyo, scratch->w_slice,
@@ -437,6 +440,8 @@ void Conv2dLayer::backward(Model& model, int index, LayerRt& rt) const {
   // convolutions"). With the progress engine, the exchange rides the wire
   // channel behind whatever gradient ops later layers already enqueued, and
   // a background driver can retire it (margin unpack included) mid-kernel.
+  // A dead port (no consumer of dL/dx) gives dy no margins, hence no halo:
+  // only backward-filter runs.
   const bool exchange = rt.dy.halo != nullptr && !rt.dy.fresh;
   const bool overlap = exchange && model.options().overlap_halo;
   const bool engine = overlap && model.progress_active();
@@ -465,6 +470,7 @@ void Conv2dLayer::backward(Model& model, int index, LayerRt& rt) const {
     rt.dy.fresh = true;
   }
 
+  if (!port.live) return;
   const Range2 in_owned = owned_range(port.dx.owned_box());
   kernels::conv2d_backward_data(dyt.buffer(), dyo, w, port.dx.buffer(),
                                 origin_of(port.dx), p, in_owned,
@@ -481,7 +487,8 @@ Shape4 Pool2dLayer::infer_shape(const std::vector<Shape4>& in) const {
 }
 
 void Pool2dLayer::init_scratch(Model& model, int, LayerRt& rt) const {
-  if (mode_ != kernels::PoolMode::kMax) return;
+  // argmax serves only the backward pass, which a dead dy never runs.
+  if (mode_ != kernels::PoolMode::kMax || !rt.dy_live) return;
   auto scratch = std::make_unique<PoolScratch>();
   // argmax mirrors dL/dy: same distribution and transpose-stencil margins so
   // it can be halo-exchanged alongside the error signal in backward.
@@ -764,6 +771,7 @@ void BatchNormLayer::backward(Model& model, int index, LayerRt& rt) const {
     rt.grads[0].data()[c0 + c] += static_cast<float>(vals[c_loc + c]);  // dgamma
     rt.grads[1].data()[c0 + c] += static_cast<float>(vals[c]);          // dbeta
   }
+  if (!port.live) return;  // the aggregate below serves dL/dx alone
 
   vals[2 * c_loc] = double(xib.ext[0]) * xib.ext[2] * xib.ext[3];
   bn_aggregate(model, index, mode_, vals, c_loc, c0, C, rt.grid.c);
@@ -816,6 +824,7 @@ void AddLayer::forward(Model&, int, LayerRt& rt) const {
 void AddLayer::backward(Model&, int, LayerRt& rt) const {
   DistTensor<float>& dyt = rt.dy.t;
   for (auto& port : rt.inputs) {
+    if (!port.live) continue;
     kernels::copy_region(dyt.buffer(), dyt.interior_box(), port.dx.buffer(),
                          port.dx.interior_box());
   }
@@ -938,7 +947,6 @@ void FullyConnectedLayer::backward(Model&, int, LayerRt& rt) const {
   auto* scratch = dynamic_cast<FcScratch*>(rt.scratch.get());
   DC_REQUIRE(scratch != nullptr, "FC backward before forward");
   scratch->dy_flat.resize(static_cast<std::size_t>(n_loc) * out_);
-  scratch->dx_flat.assign(static_cast<std::size_t>(n_loc) * D, 0.0f);
   pack_box(dyt.buffer(), dyt.interior_box(), scratch->dy_flat.data());
   // dW (F × D) += dyᵀ (F × n_loc) · x (n_loc × D)
   kernels::sgemm(true, false, out_, D, n_loc, 1.0f, scratch->dy_flat.data(), out_,
@@ -950,7 +958,9 @@ void FullyConnectedLayer::backward(Model&, int, LayerRt& rt) const {
       }
     }
   }
+  if (!port.live) return;
   // dx (n_loc × D) = dy (n_loc × F) · W (F × D)
+  scratch->dx_flat.assign(static_cast<std::size_t>(n_loc) * D, 0.0f);
   kernels::sgemm(false, false, n_loc, D, out_, 1.0f, scratch->dy_flat.data(), out_,
                  rt.params[0].data(), D, 0.0f, scratch->dx_flat.data(), D);
   unpack_box(scratch->dx_flat.data(), port.dx.interior_box(), port.dx.buffer());

@@ -201,6 +201,9 @@ Model::Model(const NetworkSpec& spec, comm::Comm& comm, const Strategy& strategy
   for (int i = 0; i < spec.size(); ++i) {
     Rng rng(seed, 1000 + static_cast<std::uint64_t>(i));
     spec.layer(i).init_params(rts_[i], rng);
+    // Gradient liveness starts from has_params(); it must match what
+    // init_params allocated.
+    DC_CHECK(spec.layer(i).has_params() == !rts_[i].params.empty());
     for (const auto& p : rts_[i].params) {
       DC_CHECK(p.size() > 0);
     }
@@ -242,6 +245,7 @@ Model::Model(const NetworkSpec& spec, comm::Comm& comm, const Strategy& strategy
 void Model::build_tensors(const std::vector<Shape4>& shapes) {
   const NetworkSpec& spec = *spec_;
   const auto children = spec.children();
+  const auto live = spec.gradient_liveness();
   rts_.resize(spec.size());
 
   for (int i = 0; i < spec.size(); ++i) {
@@ -270,17 +274,22 @@ void Model::build_tensors(const std::vector<Shape4>& shapes) {
     rt.y.t = DistTensor<float>(comm_, out_dist, ymh, ymw);
     rt.y.init_halo();
 
-    // Margins on dy: this layer's transpose stencil.
-    MarginTable dmh(rt.grid.h), dmw(rt.grid.w);
-    if (spec.layer(i).has_stencil()) {
-      const StencilSpec st = spec.layer(i).stencil();
-      dmh = transpose_stencil_margins(DimPartition(rt.in_shapes[0].h, rt.grid.h),
-                                      out_dist.h, st);
-      dmw = transpose_stencil_margins(DimPartition(rt.in_shapes[0].w, rt.grid.w),
-                                      out_dist.w, st);
+    // dy exists only when backward consumes it. Its margins serve the
+    // transpose stencil of backward-data, so a layer computing no dx (the
+    // first conv) gets none, and so no dy halo exchange either.
+    rt.dy_live = live.dy[i];
+    if (rt.dy_live) {
+      MarginTable dmh(rt.grid.h), dmw(rt.grid.w);
+      if (spec.layer(i).has_stencil() && live.ports[i][0]) {
+        const StencilSpec st = spec.layer(i).stencil();
+        dmh = transpose_stencil_margins(
+            DimPartition(rt.in_shapes[0].h, rt.grid.h), out_dist.h, st);
+        dmw = transpose_stencil_margins(
+            DimPartition(rt.in_shapes[0].w, rt.grid.w), out_dist.w, st);
+      }
+      rt.dy.t = DistTensor<float>(comm_, out_dist, dmh, dmw);
+      rt.dy.init_halo();
     }
-    rt.dy.t = DistTensor<float>(comm_, out_dist, dmh, dmw);
-    rt.dy.init_halo();
 
     // Input ports.
     const auto& parents = spec.layer(i).parents();
@@ -288,6 +297,7 @@ void Model::build_tensors(const std::vector<Shape4>& shapes) {
     for (std::size_t k = 0; k < parents.size(); ++k) {
       auto& port = rt.inputs[k];
       port.parent = parents[k];
+      port.live = live.ports[i][k];
       const Shape4& in_shape = shapes[port.parent];
       const Distribution in_dist_mine = Distribution::make(in_shape, rt.grid);
       const ProcessGrid& pgrid = strategy_.grids[port.parent];
@@ -306,13 +316,15 @@ void Model::build_tensors(const std::vector<Shape4>& shapes) {
         const Distribution in_dist_parent = Distribution::make(in_shape, pgrid);
         port.fwd_shuffle =
             std::make_unique<Shuffler<float>>(in_dist_parent, in_dist_mine, *comm_);
-        port.bwd_staging =
-            std::make_unique<DistTensor<float>>(comm_, in_dist_parent);
-        port.bwd_shuffle =
-            std::make_unique<Shuffler<float>>(in_dist_mine, in_dist_parent, *comm_);
+        if (port.live) {
+          port.bwd_staging =
+              std::make_unique<DistTensor<float>>(comm_, in_dist_parent);
+          port.bwd_shuffle = std::make_unique<Shuffler<float>>(
+              in_dist_mine, in_dist_parent, *comm_);
+        }
         port.read = port.staging.get();
       }
-      port.dx = DistTensor<float>(comm_, in_dist_mine);
+      if (port.live) port.dx = DistTensor<float>(comm_, in_dist_mine);
     }
   }
 }
@@ -399,10 +411,7 @@ double Model::loss_bce(const Tensor<float>& global_targets,
   DC_REQUIRE(global_targets.shape() == rt.out_shape, "target shape ",
              global_targets.shape().str(), " != output shape ",
              rt.out_shape.str());
-  for (auto& r : rts_) {
-    r.dy.t.zero();
-    r.dy.mark_stale();
-  }
+  zero_error_signals();
   const Box4 ib = rt.y.t.interior_box();
   const Box4 ob = rt.y.t.owned_box();
   double loss = kernels::sigmoid_bce_forward(rt.y.t.buffer(), ib, global_targets,
@@ -411,9 +420,11 @@ double Model::loss_bce(const Tensor<float>& global_targets,
   const double total = static_cast<double>(rt.out_shape.size());
   const double grad_total =
       grad_scale_count > 0 ? static_cast<double>(grad_scale_count) : total;
-  kernels::sigmoid_bce_backward(rt.y.t.buffer(), ib, global_targets, ob,
-                                rt.dy.t.buffer(), rt.dy.t.interior_box(),
-                                static_cast<float>(1.0 / grad_total));
+  if (rt.dy_live) {
+    kernels::sigmoid_bce_backward(rt.y.t.buffer(), ib, global_targets, ob,
+                                  rt.dy.t.buffer(), rt.dy.t.interior_box(),
+                                  static_cast<float>(1.0 / grad_total));
+  }
   loss_seeded_ = true;
   return loss / total;
 }
@@ -429,10 +440,7 @@ double Model::loss_softmax(const std::vector<int>& labels,
              "(the per-sample softmax reads all classes locally)");
   DC_REQUIRE(static_cast<std::int64_t>(labels.size()) == rt.out_shape.n,
              "label count mismatch");
-  for (auto& r : rts_) {
-    r.dy.t.zero();
-    r.dy.mark_stale();
-  }
+  zero_error_signals();
 
   const std::int64_t n_loc = rt.y.t.local_shape().n;
   const std::int64_t ns = rt.y.t.owned_start(0);
@@ -451,15 +459,26 @@ double Model::loss_softmax(const std::vector<int>& labels,
     Tensor<float> dlogits(logits.shape());
     kernels::softmax_xent_backward(probs, local_labels, dlogits,
                                    static_cast<float>(1.0 / grad_total));
-    unpack_box(dlogits.data(), rt.dy.t.interior_box(), rt.dy.t.buffer());
+    if (rt.dy_live) {
+      unpack_box(dlogits.data(), rt.dy.t.interior_box(), rt.dy.t.buffer());
+    }
   }
   comm::allreduce(*comm_, &loss, 1, comm::ReduceOp::kSum);
   loss_seeded_ = true;
   return loss / static_cast<double>(rt.out_shape.n);
 }
 
+void Model::zero_error_signals() {
+  for (auto& r : rts_) {
+    if (!r.dy_live) continue;
+    r.dy.t.zero();
+    r.dy.mark_stale();
+  }
+}
+
 void Model::accumulate_into_parent_dy(LayerRt& rt) {
   for (auto& port : rt.inputs) {
+    if (!port.live) continue;
     auto& pdy = rts_[port.parent].dy;
     if (port.bwd_shuffle != nullptr) {
       port.bwd_shuffle->run(port.dx, *port.bwd_staging);
@@ -478,6 +497,7 @@ void Model::defer_parent_dy(int layer) {
   auto& rt = rts_[layer];
   for (std::size_t k = 0; k < rt.inputs.size(); ++k) {
     auto& port = rt.inputs[k];
+    if (!port.live) continue;
     if (port.bwd_shuffle != nullptr) {
       port.pending_bwd_shuffle =
           engine_.enqueue(port.bwd_shuffle->make_op(port.dx, *port.bwd_staging));
@@ -644,7 +664,9 @@ void Model::backward(bool accumulate, bool complete) {
     // Children ran already (reverse order): fold their deferred error
     // contributions into this layer's dy before its backward reads it.
     if (engine_moves) apply_pending_dy(i);
-    if (!layer.parents().empty()) {
+    // A layer whose dL/dy nothing consumes (no parameters, no live input
+    // port) has no backward at all.
+    if (rt.dy_live) {
       layer.backward(*this, i, rt);
       if (overlap) engine_.progress();
       if (engine_moves) {

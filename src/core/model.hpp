@@ -5,8 +5,14 @@
 //   * every layer gets its grid from the strategy (all grids span the full
 //     communicator, as in the paper's experiments);
 //   * activation tensors get margins merged over their same-grid stencil
-//     consumers; error tensors get the layer's transpose-stencil margins;
-//   * edges whose endpoint grids differ get Shufflers (§III-C);
+//     consumers;
+//   * error tensors exist only where a gradient consumes them
+//     (NetworkSpec::gradient_liveness): a layer's dy only when its backward
+//     runs, with transpose-stencil margins only when it has a live input
+//     port, and a port's dx only when the parent's dy is live — so the first
+//     conv runs backward-filter alone, with no dy halo and no dx;
+//   * edges whose endpoint grids differ get Shufflers (§III-C), the backward
+//     one only on live edges;
 //   * parameters are replicated and deterministically initialized, so they
 //     stay bitwise identical across ranks after every allreduced update.
 //
@@ -158,6 +164,8 @@ class Model {
 
  private:
   void build_tensors(const std::vector<Shape4>& shapes);
+  /// Zero every allocated dy before a loss seeds the output's.
+  void zero_error_signals();
   void accumulate_into_parent_dy(LayerRt& rt);
   /// Overlapped backward: enqueue each parent edge's dx move (a shuffle op
   /// for cross-grid edges) and record the contribution; the adds into the

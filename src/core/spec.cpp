@@ -42,6 +42,22 @@ std::vector<std::vector<int>> NetworkSpec::children() const {
   return ch;
 }
 
+NetworkSpec::GradientLiveness NetworkSpec::gradient_liveness() const {
+  GradientLiveness live;
+  live.dy.assign(layers_.size(), false);
+  live.ports.resize(layers_.size());
+  // Insertion order is topological, so every parent is decided first.
+  for (int i = 0; i < size(); ++i) {
+    bool any_port = false;
+    for (int p : layers_[i]->parents()) {
+      live.ports[i].push_back(live.dy[p]);
+      any_port = any_port || live.dy[p];
+    }
+    live.dy[i] = layers_[i]->has_params() || any_port;
+  }
+  return live;
+}
+
 int NetworkBuilder::input(const Shape4& shape, const std::string& name) {
   return spec_.add(std::make_unique<InputLayer>(name, shape));
 }

@@ -28,6 +28,18 @@ class NetworkSpec {
   /// Children adjacency (index-aligned).
   std::vector<std::vector<int>> children() const;
 
+  /// Which error signals backpropagation consumes, from the graph alone.
+  /// dL/dy of layer i is live iff layer i has trainable parameters or some
+  /// parent's dL/dy is live; input port k of layer i is live iff its
+  /// parent's dL/dy is live. A layer's backward runs iff its dL/dy is live,
+  /// and computes dL/dx only for live ports. The runtime (Model) and the §V
+  /// cost model both read this, so they agree on what backward does.
+  struct GradientLiveness {
+    std::vector<bool> dy;                  ///< per layer
+    std::vector<std::vector<bool>> ports;  ///< per layer, per parent edge
+  };
+  GradientLiveness gradient_liveness() const;
+
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
 };

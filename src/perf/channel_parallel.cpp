@@ -30,7 +30,7 @@ LayerCost channel_filter_cost(const ConvLayerDesc& desc, int grid_n, int pc,
   work.f = desc.f;
   work.kh = desc.k;
   work.kw = desc.k;
-  cost.bpx_compute = compute.conv_bwd_data(work);
+  if (desc.needs_dx) cost.bpx_compute = compute.conv_bwd_data(work);
   cost.bpw_compute = compute.conv_bwd_filter(work);
 
   // Forward, kReduceScatterY (training, core/layers.cpp forward_channel):
@@ -72,7 +72,9 @@ LayerCost channel_filter_cost(const ConvLayerDesc& desc, int grid_n, int pc,
   if (grid_h > 1 || grid_w > 1) {
     const ProcessGrid grid{grid_n, pc, grid_h, grid_w};
     cost.fp_halo += halo_exchange_time(desc, grid, comm, false) / pc;
-    cost.bpx_halo += halo_exchange_time(desc, grid, comm, true) / pc;
+    if (desc.needs_dx) {
+      cost.bpx_halo += halo_exchange_time(desc, grid, comm, true) / pc;
+    }
   }
 
   // Weight gradients: each rank owns an F × C/pc slice, so the completing

@@ -16,6 +16,11 @@ struct ConvLayerDesc {
   std::int64_t n = 1, c = 1, h = 1, w = 1;  ///< input tensor
   std::int64_t f = 1;                       ///< filters
   int k = 1, s = 1, p = 0;                  ///< square kernel/stride/pad
+  /// Something consumes dL/dx (NetworkSpec::gradient_liveness). When false
+  /// the layer prices no backward-data compute and no dL/dy halo; a
+  /// channel-parallel layer keeps its dL/dy allgather, which
+  /// backward-filter reads.
+  bool needs_dx = true;
 
   std::int64_t out_h() const { return (h + 2 * p - k) / s + 1; }
   std::int64_t out_w() const { return (w + 2 * p - k) / s + 1; }

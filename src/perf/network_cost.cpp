@@ -133,14 +133,19 @@ MemoryEstimate estimate_memory_impl(const core::NetworkSpec& spec,
                                     int total_ranks, bool inference) {
   const auto shapes = spec.infer_shapes();
   MemoryEstimate est;
-  // Training holds y + dy local blocks; forward-only serving holds y alone.
-  const double act_copies = inference ? 1.0 : 2.0;
+  // Training holds y plus the dy blocks backward consumes
+  // (NetworkSpec::gradient_liveness); forward-only serving holds y alone.
+  const std::vector<bool> dy_live =
+      inference ? std::vector<bool>(spec.size(), false)
+                : spec.gradient_liveness().dy;
   // Training replicates parameters, gradients and momentum on every rank;
   // serving needs the parameters alone.
   const double param_copies = inference ? 1.0 : 3.0;
+  double y_bytes = 0;
   for (int i = 0; i < spec.size(); ++i) {
-    est.activation_bytes +=
-        act_copies * 4.0 * local_elements(shapes[i], strategy.grids[i]);
+    const double bytes = 4.0 * local_elements(shapes[i], strategy.grids[i]);
+    y_bytes += bytes;
+    est.activation_bytes += dy_live[i] ? 2.0 * bytes : bytes;
   }
   for (int i = 0; i < spec.size(); ++i) {
     if (const auto d = conv_desc(spec, i, shapes)) {
@@ -156,9 +161,8 @@ MemoryEstimate estimate_memory_impl(const core::NetworkSpec& spec,
   // Workspace pressure: large job-wide comm state squeezing the workspace of
   // ranks that hold big local tensors (the paper's 2048-GPU sample-parallel
   // degradation).
-  est.pressured =
-      est.comm_bytes > machine.pressure_comm_bytes &&
-      est.activation_bytes / act_copies > machine.pressure_activation_bytes;
+  est.pressured = est.comm_bytes > machine.pressure_comm_bytes &&
+                  y_bytes > machine.pressure_activation_bytes;
   return est;
 }
 
@@ -188,6 +192,7 @@ NetworkCost network_cost(const core::NetworkSpec& spec,
              "strategy/spec size mismatch");
   const int P = strategy.num_ranks();
   const auto shapes = spec.infer_shapes();
+  const auto live = spec.gradient_liveness();
   const CommModel comm(machine);
 
   NetworkCost cost;
@@ -206,24 +211,31 @@ NetworkCost network_cost(const core::NetworkSpec& spec,
   std::vector<double> bwd_shuffle(spec.size(), 0.0);
 
   // Forward pass + forward shuffles; collect backward-side aux costs and the
-  // per-consumer backward shuffle volumes.
+  // per-consumer backward shuffle volumes. Backward prices only what the
+  // engine runs: no backward for a layer whose dy is dead, no dL/dx work
+  // for a dead port, no backward shuffle on a dead cross-grid edge.
   for (int i = 0; i < spec.size(); ++i) {
-    if (const auto d = conv_desc(spec, i, shapes)) {
+    const auto& ports = live.ports[i];
+    if (auto d = conv_desc(spec, i, shapes)) {
+      d->needs_dx = ports[0];
       cost.layers[i] = conv_layer_cost(*d, strategy.grids[i], comm, cm, P);
       cost.forward += cost.layers[i]->fp(options.overlap_halo);
     } else {
       const AuxCost aux =
           aux_layer_cost(spec, i, shapes, strategy.grids[i], comm, machine, P);
       cost.forward += aux.forward;
-      aux_bp[i] = aux.backward;
+      if (live.dy[i]) aux_bp[i] = aux.backward;
       aux_ar[i] = aux.allreduce;
     }
-    for (int parent : spec.layer(i).parents()) {
+    const auto& parents = spec.layer(i).parents();
+    for (std::size_t k = 0; k < parents.size(); ++k) {
+      const int parent = parents[k];
       if (!(strategy.grids[parent] == strategy.grids[i])) {
         const double bytes =
             4.0 * local_elements(shapes[parent], strategy.grids[parent]);
         const double one_way = comm.alltoall(P, bytes);
         cost.shuffle += one_way;  // forward direction: always exposed
+        if (!ports[k]) continue;  // dead edge: no error signal moves back
         if (options.overlap_shuffle) {
           bwd_shuffle[i] += one_way;  // rides the backward wire channel
         } else {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #include "obs/attribution.hpp"
 #include "support/error.hpp"
@@ -32,7 +33,15 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
 bool env_bool(const char* name, bool fallback) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return fallback;
-  return !(s[0] == '0' && s[1] == '\0');
+  if (std::strcmp(s, "1") == 0 || std::strcmp(s, "true") == 0 ||
+      std::strcmp(s, "on") == 0) {
+    return true;
+  }
+  if (std::strcmp(s, "0") == 0 || std::strcmp(s, "false") == 0 ||
+      std::strcmp(s, "off") == 0) {
+    return false;
+  }
+  DC_FAIL(name, " must be one of 1|true|on|0|false|off, got \"", s, "\"");
 }
 
 }  // namespace

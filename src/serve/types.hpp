@@ -70,7 +70,8 @@ struct ServeOptions {
 /// Read the batching knobs from DC_SERVE_MAX_BATCH / DC_SERVE_MAX_DELAY_US /
 /// DC_SERVE_MAX_QUEUE / DC_SERVE_DEADLINE_US (defaults above when unset or
 /// unparsable). serve_options_from_env additionally reads DC_SERVE_CONTINUOUS
-/// / DC_SERVE_DOUBLE_BUFFER (0/1), DC_SERVE_REPLICAS and DC_SERVE_SLO_P99_US.
+/// / DC_SERVE_DOUBLE_BUFFER (1|true|on|0|false|off; any other value throws),
+/// DC_SERVE_REPLICAS and DC_SERVE_SLO_P99_US.
 BatcherOptions batcher_options_from_env();
 ServeOptions serve_options_from_env();
 

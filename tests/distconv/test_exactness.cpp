@@ -114,6 +114,20 @@ NetworkSpec residual_pool_net() {
   return nb.take();
 }
 
+// Dead error signals: the parameter-free prefix (input, pool) consumes no
+// gradient, c1's input port is dead (it runs backward-filter only), and the
+// add has one dead port (pool) and one live port (c1).
+NetworkSpec dead_port_net() {
+  NetworkBuilder nb;
+  const int in = nb.input(Shape4{4, 4, 16, 16});
+  const int pool = nb.pool_max("pool", in, 3, 1, 1);
+  const int c1 = nb.conv("c1", pool, 4, 3, 1);
+  int x = nb.add("res", pool, c1);
+  x = nb.relu("r", x);
+  nb.conv("head", x, 1, 1, 1, 0, /*bias=*/true);
+  return nb.take();
+}
+
 struct StrategyCase {
   const char* name;
   int ranks;
@@ -193,6 +207,78 @@ TEST(Exactness, ResidualPoolNetMatchesSerialUnderAllStrategies) {
     SCOPED_TRACE(sc.name);
     const auto got = run_once(residual_pool_net, sc.ranks, sc.make);
     expect_same_run(got, ref, 2e-4f);
+  }
+}
+
+TEST(Exactness, DeadPortNetMatchesSerialUnderAllStrategies) {
+  const auto ref = run_once(dead_port_net, 1, [](int l, int p) {
+    return Strategy::sample_parallel(l, p);
+  });
+  for (const auto& sc : strategy_cases()) {
+    SCOPED_TRACE(sc.name);
+    const auto got = run_once(dead_port_net, sc.ranks, sc.make);
+    expect_same_run(got, ref, 2e-4f);
+  }
+}
+
+TEST(Exactness, DeadErrorSignalsAreNotAllocated) {
+  const NetworkSpec probe = dead_port_net();
+  const auto shapes = probe.infer_shapes();
+  const int pool = 1, c1 = 2, res = 3;
+  for (const auto& sc : strategy_cases()) {
+    SCOPED_TRACE(sc.name);
+    comm::World world(sc.ranks);
+    world.run([&](comm::Comm& comm) {
+      const NetworkSpec spec = dead_port_net();
+      Model model(spec, comm, sc.make(spec.size(), sc.ranks), /*seed=*/7);
+      // Which signals are dead is decided by the graph alone.
+      EXPECT_FALSE(model.rt(0).dy_live);
+      EXPECT_FALSE(model.rt(pool).dy_live);
+      EXPECT_TRUE(model.rt(c1).dy_live);
+      EXPECT_FALSE(model.rt(pool).inputs[0].live);
+      EXPECT_FALSE(model.rt(c1).inputs[0].live);
+      EXPECT_FALSE(model.rt(res).inputs[0].live);
+      EXPECT_TRUE(model.rt(res).inputs[1].live);
+      // c1 computes no dL/dx, so its dy needs no transpose margins or halo.
+      EXPECT_EQ(model.rt(c1).dy.halo, nullptr);
+
+      // activation_bytes() holds exactly the live buffers; each dead one,
+      // sized from its layer's shapes, is absent.
+      const std::int64_t f = sizeof(float);
+      auto block = [&](const Shape4& global, const ProcessGrid& grid) {
+        return Distribution::make(global, grid).local_shape(comm.rank()).size();
+      };
+      std::int64_t live_bytes = 0, dead_bytes = 0;
+      for (int i = 0; i < model.num_layers(); ++i) {
+        const LayerRt& rt = model.rt(i);
+        live_bytes += rt.y.t.buffer().size() * f;
+        const std::int64_t dy_block = block(rt.out_shape, rt.grid);
+        if (rt.dy_live) {
+          EXPECT_GE(rt.dy.t.buffer().size(), dy_block) << i;
+          live_bytes += rt.dy.t.buffer().size() * f;
+        } else {
+          EXPECT_EQ(rt.dy.t.buffer().size(), 0) << i;
+          dead_bytes += dy_block * f;
+        }
+        for (const auto& port : rt.inputs) {
+          if (port.staging != nullptr) {
+            live_bytes += port.staging->t.buffer().size() * f;
+          }
+          const std::int64_t dx_block = block(shapes[port.parent], rt.grid);
+          if (port.live) {
+            EXPECT_EQ(port.dx.buffer().size(), dx_block) << i;
+            live_bytes += dx_block * f;
+          } else {
+            EXPECT_EQ(port.dx.buffer().size(), 0) << i;
+            EXPECT_EQ(port.bwd_staging, nullptr) << i;
+            dead_bytes += dx_block * f;
+          }
+        }
+      }
+      EXPECT_EQ(model.activation_bytes(), live_bytes);
+      // input + pool dy and three dead dx blocks, all of input shape.
+      EXPECT_EQ(dead_bytes, 5 * block(shapes[0], model.rt(0).grid) * f);
+    });
   }
 }
 

@@ -204,8 +204,15 @@ TEST(InferenceCost, ForwardOnlyMemoryFootprintIsSmaller) {
   const auto strategy = core::Strategy::hybrid(spec.size(), 16, 4);
   const auto train = estimate_memory(spec, strategy, kMachine, 16);
   const auto infer = estimate_memory_inference(spec, strategy, kMachine, 16);
-  // y only (no dy), params only (no grads/momentum).
-  EXPECT_NEAR(infer.activation_bytes, train.activation_bytes / 2.0, 1.0);
+  // y only (no dy), params only (no grads/momentum). Training holds a dy
+  // for every layer but the input, whose error signal nothing consumes.
+  const Shape4 in = spec.infer_shapes()[0];
+  const ProcessGrid& g0 = strategy.grids[0];
+  auto blocks = [](std::int64_t n, int parts) { return (n + parts - 1) / parts; };
+  const double input_bytes = 4.0 * blocks(in.n, g0.n) * blocks(in.c, g0.c) *
+                             blocks(in.h, g0.h) * blocks(in.w, g0.w);
+  EXPECT_NEAR(infer.activation_bytes,
+              (train.activation_bytes + input_bytes) / 2.0, 1.0);
   EXPECT_NEAR(infer.parameter_bytes, train.parameter_bytes / 3.0, 1.0);
   EXPECT_LT(infer.total_bytes, train.total_bytes);
 }
@@ -294,6 +301,83 @@ TEST(InferenceCost, ChannelParallelPricesAllgatherXSchedule) {
   const auto infer = inference_cost(net, strategy, kMachine);
   ASSERT_TRUE(infer.layers[1].has_value());
   EXPECT_EQ(infer.layers[1]->fp_halo, serve.fp_halo);
+}
+
+/// input → conv c1 → conv head: nothing consumes c1's dL/dx.
+core::NetworkSpec first_conv_net() {
+  core::NetworkBuilder nb;
+  const int in = nb.input(Shape4{4, 8, 64, 64});
+  const int c1 = nb.conv("c1", in, 16, 3);
+  nb.conv("head", c1, 1, 3);
+  return nb.take();
+}
+
+TEST(NetworkCost, FirstConvPricesBackwardFilterOnly) {
+  const auto spec = first_conv_net();
+  for (const ProcessGrid grid : {ProcessGrid{1, 1, 2, 2}, ProcessGrid{4, 1, 1, 1}}) {
+    const auto cost = network_cost(
+        spec, core::Strategy::uniform(spec.size(), grid), kMachine);
+    ASSERT_TRUE(cost.layers[1].has_value());
+    const LayerCost& first = *cost.layers[1];
+    EXPECT_EQ(first.bpx_compute, 0.0) << grid.str();
+    EXPECT_EQ(first.bpx_halo, 0.0) << grid.str();
+    EXPECT_EQ(first.bp(true), first.bpw_compute) << grid.str();
+    EXPECT_EQ(first.bp(false), first.bpw_compute) << grid.str();
+    // The head's input gradient feeds c1's weights, so it keeps its dL/dx.
+    EXPECT_GT(cost.layers[2]->bpx_compute, 0.0) << grid.str();
+  }
+}
+
+TEST(NetworkCost, DeadChannelParallelPortKeepsDyAllgather) {
+  // Backward-filter needs the allgathered full-F dL/dy, so a channel-
+  // parallel first conv still pays the allgather, but no backward-data.
+  const auto spec = first_conv_net();
+  const ProcessGrid grid{1, 4, 1, 1};
+  const auto cost =
+      network_cost(spec, core::Strategy::uniform(spec.size(), grid), kMachine);
+  const LayerCost& first = *cost.layers[1];
+  EXPECT_EQ(first.bpx_compute, 0.0);
+  EXPECT_GT(first.bpx_halo, 0.0);
+  const auto shapes = spec.infer_shapes();
+  auto desc = conv_desc(spec, 1, shapes);
+  ASSERT_TRUE(desc.has_value());
+  const CommModel comm(kMachine);
+  RooflineComputeModel compute(kMachine);
+  const LayerCost full = conv_layer_cost(*desc, grid, comm, compute, 4);
+  EXPECT_EQ(first.bpx_halo, full.bpx_halo);  // no spatial halo to drop
+  EXPECT_EQ(first.bpw_compute, full.bpw_compute);
+}
+
+TEST(NetworkCost, DeadCrossGridEdgePricesNoBackwardShuffle) {
+  // The input sits on a different grid from c1: the forward shuffle runs,
+  // but no error signal moves back across that edge.
+  const auto spec = first_conv_net();
+  auto strategy = core::Strategy::uniform(spec.size(), ProcessGrid{1, 1, 2, 2});
+  strategy.grids[0] = ProcessGrid{4, 1, 1, 1};
+  NetworkCostOptions blocking;
+  blocking.overlap_shuffle = false;  // backward shuffles land in .shuffle
+  const auto train = network_cost(spec, strategy, kMachine, blocking);
+  const auto infer = inference_cost(spec, strategy, kMachine, blocking);
+  EXPECT_GT(infer.shuffle, 0.0);
+  EXPECT_EQ(train.shuffle, infer.shuffle);  // forward direction only
+}
+
+TEST(Memory, DeadErrorSignalsHoldNoBytes) {
+  // Parameter-free prefix: the input and the pool feed only c1's dead port,
+  // so neither holds a dy.
+  core::NetworkBuilder nb;
+  const int in = nb.input(Shape4{2, 4, 32, 32});
+  const int pool = nb.pool_max("pool", in, 3, 1, 1);
+  const int c1 = nb.conv("c1", pool, 4, 3);
+  nb.relu("r", c1);
+  const auto spec = nb.take();
+  const auto strategy = core::Strategy::sample_parallel(spec.size(), 2);
+  const auto train = estimate_memory(spec, strategy, kMachine, 2);
+  const auto infer = estimate_memory_inference(spec, strategy, kMachine, 2);
+  const double block = 4.0 * 1 * 4 * 32 * 32;  // every layer's local y
+  EXPECT_EQ(infer.activation_bytes, 4 * block);
+  EXPECT_EQ(train.activation_bytes, 4 * block + 2 * block);  // c1, r dy only
+  EXPECT_EQ(train.pressured, infer.pressured);
 }
 
 TEST(Sim, WeakScalingFormatMentionsInfeasibleReason) {

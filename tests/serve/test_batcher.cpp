@@ -156,6 +156,23 @@ TEST(Batcher, EnvKnobsParse) {
   unsetenv("DC_SERVE_MAX_QUEUE");
 }
 
+TEST(Batcher, BoolKnobsParseWordsAndRejectGarbage) {
+  setenv("DC_SERVE_CONTINUOUS", "false", 1);
+  setenv("DC_SERVE_DOUBLE_BUFFER", "off", 1);
+  ServeOptions opts = serve_options_from_env();
+  EXPECT_FALSE(opts.continuous);
+  EXPECT_FALSE(opts.double_buffer);
+  setenv("DC_SERVE_CONTINUOUS", "on", 1);
+  setenv("DC_SERVE_DOUBLE_BUFFER", "true", 1);
+  opts = serve_options_from_env();
+  EXPECT_TRUE(opts.continuous);
+  EXPECT_TRUE(opts.double_buffer);
+  unsetenv("DC_SERVE_DOUBLE_BUFFER");
+  setenv("DC_SERVE_CONTINUOUS", "yes-please", 1);
+  EXPECT_THROW(serve_options_from_env(), Error);
+  unsetenv("DC_SERVE_CONTINUOUS");
+}
+
 TEST(Batcher, AdmissionControlShedsWhenQueueFull) {
   BatcherOptions opts;
   opts.max_batch = 4;
