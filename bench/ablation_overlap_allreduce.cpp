@@ -1,16 +1,18 @@
 // Allreduce/backprop overlap ablation: run the *same* training step with the
-// blocking gradient sweep and with the nonblocking per-layer completion
-// engine (DC_OVERLAP_ALLREDUCE), and compare the measured hidden fraction of
-// the allreduce time against the §V-B greedy model's estimate ("we estimate
-// allreduce overlap … greedily; only one allreduce at a time is considered
-// to run") on mesh-like strong-scaling configurations.
+// gradient completion ops enqueued after backprop and drained at once (no
+// background driver) and with them enqueued per layer as backprop retires
+// each one (ModelOptions::overlap_allreduce), and compare the measured
+// hidden fraction of the allreduce time against the §V-B greedy model's
+// estimate ("we estimate allreduce overlap … greedily; only one allreduce at
+// a time is considered to run") on mesh-like strong-scaling configurations.
 //
 //   hidden (measured)  = 1 − exposed / t_complete, where both terms are the
 //                        post-backprop gradient-completion time *inside* the
 //                        step (Model::last_grad_completion_seconds): the
-//                        blocking sweep for t_complete, the engine's final
-//                        drain for exposed — measured the same way, so rank
-//                        skew cancels instead of biasing the ratio;
+//                        after-backprop completion for t_complete, the
+//                        overlapped final drain for exposed — measured the
+//                        same way, so rank skew cancels instead of biasing
+//                        the ratio;
 //   hidden (predicted) = 1 − allreduce_exposed / Σ BPa from network_cost
 //                        with overlap_allreduce on vs off.
 //

@@ -336,7 +336,6 @@ void write_json(const char* path, const Config& cfg, bool smoke,
     std::fprintf(stderr, "cannot open %s for writing\n", path);
     std::exit(1);
   }
-  const char* progress = std::getenv("DC_COMM_PROGRESS");
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"schema\": \"distconv-bench-serve-v1\",\n");
   std::fprintf(f, "  \"provenance\": {\n");
@@ -346,7 +345,7 @@ void write_json(const char* path, const Config& cfg, bool smoke,
   std::fprintf(f, "    \"arrival_rate_rps\": %.1f,\n", cfg.arrival_rate);
   std::fprintf(f, "    \"calibration\": \"lassen-builtin\",\n");
   std::fprintf(f, "    \"dc_comm_progress\": \"%s\",\n",
-               progress ? progress : "default");
+               comm::to_string(comm::progress_mode_from_env()));
   std::fprintf(f, "    \"strategy\": \"%s\"\n", strategy.str().c_str());
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"model_estimate\": {\n");

@@ -1,4 +1,7 @@
-// Collective operations built purely on point-to-point messaging.
+// Blocking collective operations built purely on point-to-point messaging.
+// broadcast, allgatherv, reduce_scatterv_inplace and allreduce build the
+// matching resumable op of comm/nonblocking.hpp and run it inline, so the
+// engine-driven and the blocking form of each are one implementation.
 //
 // The algorithms follow Thakur, Rabenseifner & Gropp, "Optimization of
 // Collective Communication Operations in MPICH" (IJHPCA 2005) — the same
@@ -21,13 +24,12 @@
 #include <vector>
 
 #include "comm/comm.hpp"
+#include "comm/nonblocking.hpp"
 #include "comm/types.hpp"
 #include "obs/attribution.hpp"
 #include "support/error.hpp"
 
 namespace distconv::comm {
-
-enum class AllreduceAlgo { kAuto, kRecursiveDoubling, kRing };
 
 namespace internal {
 
@@ -37,35 +39,6 @@ inline int log2_rounds(int p) {
   int r = 0;
   while ((1 << r) < p) ++r;
   return r;
-}
-
-template <typename T>
-void apply_op(ReduceOp op, T* acc, const T* in, std::size_t n) {
-  switch (op) {
-    case ReduceOp::kSum:
-      for (std::size_t i = 0; i < n; ++i) acc[i] += in[i];
-      break;
-    case ReduceOp::kMax:
-      for (std::size_t i = 0; i < n; ++i) acc[i] = std::max(acc[i], in[i]);
-      break;
-    case ReduceOp::kMin:
-      for (std::size_t i = 0; i < n; ++i) acc[i] = std::min(acc[i], in[i]);
-      break;
-    case ReduceOp::kProd:
-      for (std::size_t i = 0; i < n; ++i) acc[i] *= in[i];
-      break;
-  }
-}
-
-/// Balanced partition of n items over p blocks: first (n % p) blocks get one
-/// extra item. Returns [start, end) of block b.
-inline std::pair<std::size_t, std::size_t> block_range(std::size_t n, int p, int b) {
-  const std::size_t base = n / p;
-  const std::size_t extra = n % p;
-  const std::size_t ub = static_cast<std::size_t>(b);
-  const std::size_t start = ub * base + std::min<std::size_t>(ub, extra);
-  const std::size_t len = base + (ub < extra ? 1 : 0);
-  return {start, start + len};
 }
 
 }  // namespace internal
@@ -93,27 +66,7 @@ void broadcast(Comm& comm, T* buf, std::size_t n, int root) {
   const int p = comm.size();
   static const obs::CollCounters& cc = obs::coll_counters("broadcast");
   obs::CollectiveScope ocs(cc, n * sizeof(T), internal::log2_rounds(p));
-  if (p == 1) return;
-  const int tag = comm.next_internal_tag();
-  // Binomial tree rooted at `root`: work in shifted rank space.
-  const int vrank = (comm.rank() - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if (vrank & mask) {
-      const int src = ((vrank ^ mask) + root) % p;
-      comm.recv(buf, n, src, tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < p) {
-      const int dst = (vrank + mask + root) % p;
-      comm.send(buf, n, dst, tag);
-    }
-    mask >>= 1;
-  }
+  NbBroadcast<T>(comm, buf, n, root).run();
 }
 
 template <typename T>
@@ -180,72 +133,14 @@ void allgatherv(Comm& comm, const T* sendbuf, std::size_t n, T* recvbuf,
   for (const std::size_t c : counts) total += c;
   static const obs::CollCounters& cc = obs::coll_counters("allgatherv");
   obs::CollectiveScope ocs(cc, total * sizeof(T), p - 1);
-  const int me = comm.rank();
-  DC_REQUIRE(counts[me] == n, "allgatherv: local count mismatch");
-  std::copy(sendbuf, sendbuf + n, recvbuf + displs[me]);
-  if (p == 1) return;
-  const int tag = comm.next_internal_tag();
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_block = (me - s + p) % p;
-    const int recv_block = (me - s - 1 + p) % p;
-    comm.sendrecv(recvbuf + displs[send_block], counts[send_block] * sizeof(T),
-                  right, tag, recvbuf + displs[recv_block],
-                  counts[recv_block] * sizeof(T), left, tag);
-  }
-}
-
-/// Ring reduce-scatter over the balanced block partition of buf (n elements).
-/// On return, rank r's block (internal::block_range(n, p, r)) holds the full
-/// reduction; other positions are scratch.
-template <typename T>
-void reduce_scatter_inplace(Comm& comm, T* buf, std::size_t n, ReduceOp op) {
-  OpScope scope("reduce_scatter");
-  const int p = comm.size();
-  static const obs::CollCounters& cc = obs::coll_counters("reduce_scatter");
-  obs::CollectiveScope ocs(cc, n * sizeof(T), p);
-  if (p == 1) return;
-  const int me = comm.rank();
-  const int tag = comm.next_internal_tag();
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
-  std::size_t max_block = 0;
-  for (int b = 0; b < p; ++b) {
-    auto [s, e] = internal::block_range(n, p, b);
-    max_block = std::max(max_block, e - s);
-  }
-  std::vector<T> tmp(max_block);
-  // Step s: send block (me - s), receive and reduce block (me - s - 1).
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_block = (me - s + p) % p;
-    const int recv_block = (me - s - 1 + p) % p;
-    auto [ss, se] = internal::block_range(n, p, send_block);
-    auto [rs, re] = internal::block_range(n, p, recv_block);
-    comm.sendrecv(buf + ss, (se - ss) * sizeof(T), right, tag, tmp.data(),
-                  (re - rs) * sizeof(T), left, tag);
-    internal::apply_op(op, buf + rs, tmp.data(), re - rs);
-  }
-  // Rank me now holds the fully reduced block (me + 1) % p... rotate so the
-  // canonical "my block" is correct: after p-1 steps the reduced block at
-  // rank me is block (me - (p - 1)) % p == (me + 1) % p. Forward it once.
-  const int have = (me + 1) % p;
-  if (have != me) {
-    auto [hs, he] = internal::block_range(n, p, have);
-    auto [ms, me2] = internal::block_range(n, p, me);
-    // Pass the reduced block around the ring until each rank holds its own.
-    // One extra ring rotation of (p-2) hops in the worst case is avoided by
-    // sending directly to the owner.
-    comm.sendrecv(buf + hs, (he - hs) * sizeof(T), have, tag, buf + ms,
-                  (me2 - ms) * sizeof(T), (me - 1 + p) % p, tag);
-  }
+  NbAllgatherv<T>(comm, sendbuf, n, recvbuf, counts, displs).run();
 }
 
 /// Ring reduce-scatter with explicit per-rank block sizes: buf holds the
 /// concatenation of p blocks (block b spans counts[b] elements at offset
 /// sum(counts[0..b))); on return rank r's block holds the full reduction,
-/// other positions are scratch. Unlike reduce_scatter_inplace, the block
-/// boundaries are caller-chosen, which the channel/filter-parallel
+/// other positions are scratch. The block boundaries are caller-chosen,
+/// which the channel/filter-parallel
 /// convolution needs: its blocks are per-rank filter slices of a partial-sum
 /// tensor, and balanced element blocks would not align with slice
 /// boundaries when the filter count does not divide evenly. Zero-sized
@@ -257,142 +152,30 @@ void reduce_scatterv_inplace(Comm& comm, T* buf,
                              ReduceOp op) {
   OpScope scope("reduce_scatterv");
   const int p = comm.size();
-  DC_REQUIRE(static_cast<int>(counts.size()) == p,
-             "reduce_scatterv: counts must have one entry per rank");
-  std::uint64_t obs_total = 0;
-  for (const std::size_t c : counts) obs_total += c;
+  std::uint64_t total = 0;
+  for (const std::size_t c : counts) total += c;
   static const obs::CollCounters& cc = obs::coll_counters("reduce_scatterv");
-  obs::CollectiveScope ocs(cc, obs_total * sizeof(T), p);
-  if (p == 1) return;
-  std::vector<std::size_t> displs(p);
-  std::size_t total = 0, max_block = 0;
-  for (int b = 0; b < p; ++b) {
-    displs[b] = total;
-    total += counts[b];
-    max_block = std::max(max_block, counts[b]);
-  }
-  const int me = comm.rank();
-  const int tag = comm.next_internal_tag();
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
-  std::vector<T> tmp(max_block);
-  // Step s: send block (me - s), receive and reduce block (me - s - 1).
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_block = (me - s + p) % p;
-    const int recv_block = (me - s - 1 + p) % p;
-    comm.sendrecv(buf + displs[send_block], counts[send_block] * sizeof(T), right,
-                  tag, tmp.data(), counts[recv_block] * sizeof(T), left, tag);
-    internal::apply_op(op, buf + displs[recv_block], tmp.data(),
-                       counts[recv_block]);
-  }
-  // After p-1 steps rank me holds the fully reduced block (me + 1) % p; send
-  // it straight to its owner and receive my own block from the rank holding
-  // it (my left neighbour).
-  const int have = (me + 1) % p;
-  if (have != me) {
-    comm.sendrecv(buf + displs[have], counts[have] * sizeof(T), have, tag,
-                  buf + displs[me], counts[me] * sizeof(T), left, tag);
-  }
+  obs::CollectiveScope ocs(cc, total * sizeof(T), p);
+  NbReduceScattervInplace<T>(comm, buf, counts, op).run();
 }
 
-template <typename T>
-void allreduce_recursive_doubling(Comm& comm, T* buf, std::size_t n, ReduceOp op) {
-  OpScope scope("allreduce-rd");
-  const int p = comm.size();
-  static const obs::CollCounters& cc = obs::coll_counters("allreduce-rd");
-  obs::CollectiveScope ocs(cc, n * sizeof(T), internal::log2_rounds(p));
-  if (p == 1) return;
-  const int me = comm.rank();
-  const int tag = comm.next_internal_tag();
-  std::vector<T> tmp(n);
-
-  // Reduce to the nearest power of two: the first 2*rem ranks fold pairwise.
-  int pof2 = 1;
-  while (pof2 * 2 <= p) pof2 *= 2;
-  const int rem = p - pof2;
-  int newrank;
-  if (me < 2 * rem) {
-    if (me % 2 == 0) {
-      comm.send(buf, n, me + 1, tag);
-      newrank = -1;
-    } else {
-      comm.recv(tmp.data(), n, me - 1, tag);
-      internal::apply_op(op, buf, tmp.data(), n);
-      newrank = me / 2;
-    }
-  } else {
-    newrank = me - rem;
-  }
-
-  if (newrank >= 0) {
-    for (int mask = 1; mask < pof2; mask <<= 1) {
-      const int partner_new = newrank ^ mask;
-      const int partner = partner_new < rem ? partner_new * 2 + 1 : partner_new + rem;
-      comm.sendrecv(buf, n * sizeof(T), partner, tag, tmp.data(), n * sizeof(T),
-                    partner, tag);
-      internal::apply_op(op, buf, tmp.data(), n);
-    }
-  }
-
-  // Send results back to the folded-away ranks.
-  if (me < 2 * rem) {
-    if (me % 2 == 1) {
-      comm.send(buf, n, me - 1, tag);
-    } else {
-      comm.recv(buf, n, me + 1, tag);
-    }
-  }
-}
-
-template <typename T>
-void allreduce_ring(Comm& comm, T* buf, std::size_t n, ReduceOp op) {
-  OpScope scope("allreduce-ring");
-  const int p = comm.size();
-  static const obs::CollCounters& cc = obs::coll_counters("allreduce-ring");
-  obs::CollectiveScope ocs(cc, n * sizeof(T), 2 * (p - 1));
-  if (p == 1) return;
-  if (n < static_cast<std::size_t>(p)) {
-    // Blocks would be empty; fall back to the latency-oriented algorithm.
-    allreduce_recursive_doubling(comm, buf, n, op);
-    return;
-  }
-  reduce_scatter_inplace(comm, buf, n, op);
-  // Ring allgather of the reduced blocks.
-  const int me = comm.rank();
-  const int tag = comm.next_internal_tag();
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_block = (me - s + p) % p;
-    const int recv_block = (me - s - 1 + p) % p;
-    auto [ss, se] = internal::block_range(n, p, send_block);
-    auto [rs, re] = internal::block_range(n, p, recv_block);
-    comm.sendrecv(buf + ss, (se - ss) * sizeof(T), right, tag, buf + rs,
-                  (re - rs) * sizeof(T), left, tag);
-  }
-}
-
-/// Message-size threshold (bytes) above which the ring algorithm wins; the
-/// same constant appears in the analytic model (perf/comm_model.hpp).
-inline constexpr std::size_t kAllreduceRingThresholdBytes = 16384;
-
+/// Allreduce by recursive doubling (latency-optimal, small n) or ring
+/// reduce-scatter + ring allgather (bandwidth-optimal, large n); kAuto picks
+/// by kAllreduceRingThresholdBytes (see internal::allreduce_uses_ring).
 template <typename T>
 void allreduce(Comm& comm, T* buf, std::size_t n, ReduceOp op,
                AllreduceAlgo algo = AllreduceAlgo::kAuto) {
-  switch (algo) {
-    case AllreduceAlgo::kRecursiveDoubling:
-      allreduce_recursive_doubling(comm, buf, n, op);
-      return;
-    case AllreduceAlgo::kRing:
-      allreduce_ring(comm, buf, n, op);
-      return;
-    case AllreduceAlgo::kAuto:
-      if (n * sizeof(T) <= kAllreduceRingThresholdBytes) {
-        allreduce_recursive_doubling(comm, buf, n, op);
-      } else {
-        allreduce_ring(comm, buf, n, op);
-      }
-      return;
+  const int p = comm.size();
+  if (internal::allreduce_uses_ring<T>(n, p, algo)) {
+    OpScope scope("allreduce-ring");
+    static const obs::CollCounters& cc = obs::coll_counters("allreduce-ring");
+    obs::CollectiveScope ocs(cc, n * sizeof(T), 2 * (p - 1));
+    NbAllreduceRing<T>(comm, buf, n, op).run();
+  } else {
+    OpScope scope("allreduce-rd");
+    static const obs::CollCounters& cc = obs::coll_counters("allreduce-rd");
+    obs::CollectiveScope ocs(cc, n * sizeof(T), internal::log2_rounds(p));
+    NbAllreduceRd<T>(comm, buf, n, op).run();
   }
 }
 

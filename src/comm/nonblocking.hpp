@@ -1,15 +1,15 @@
-// Nonblocking collectives: resumable state machines over the eager
-// point-to-point layer, progressed by a CollectiveEngine.
+// Collective operations as resumable state machines over the eager
+// point-to-point layer. Each op is the one implementation of its algorithm:
+// the blocking collectives in comm/collectives.hpp build the op and run() it
+// inline, and the CollectiveEngine below progresses the same op in the
+// background of compute.
 //
-// Each operation is the *same* algorithm as its blocking counterpart in
-// comm/collectives.hpp (recursive doubling / ring, identical partner order
-// and identical reduction order per element), restructured so that every
-// blocking receive becomes a posted irecv plus a resumption point. Sends are
-// eager (they complete on return), so an op only ever blocks on one posted
-// receive at a time — `progress()` tests it, applies the step, and posts the
-// next round. Because the arithmetic order inside an op is fixed, a
-// nonblocking allreduce produces bitwise-identical results to the blocking
-// call regardless of when or how often it is progressed.
+// Every blocking receive of the algorithm is a posted irecv plus a
+// resumption point. Sends are eager (they complete on return), so an op only
+// ever blocks on one posted receive at a time — `progress()` tests it,
+// applies the step, and posts the next round. Because the arithmetic order
+// inside an op is fixed, its result is bitwise-identical regardless of when
+// or how often it is progressed, or whether it runs inline.
 //
 // The CollectiveEngine serializes ops onto a single logical channel: an op
 // starts communicating only when it reaches the head of the queue, matching
@@ -21,22 +21,75 @@
 // interleave.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "comm/collectives.hpp"
 #include "comm/comm.hpp"
+#include "comm/types.hpp"
 #include "obs/attribution.hpp"
 #include "support/error.hpp"
 
 namespace distconv::comm {
 
+enum class AllreduceAlgo { kAuto, kRecursiveDoubling, kRing };
+
+/// Message-size threshold (bytes) above which the ring algorithm wins; the
+/// same constant appears in the analytic model (perf/comm_model.hpp).
+inline constexpr std::size_t kAllreduceRingThresholdBytes = 16384;
+
+namespace internal {
+
+template <typename T>
+void apply_op(ReduceOp op, T* acc, const T* in, std::size_t n) {
+  switch (op) {
+    case ReduceOp::kSum:
+      for (std::size_t i = 0; i < n; ++i) acc[i] += in[i];
+      break;
+    case ReduceOp::kMax:
+      for (std::size_t i = 0; i < n; ++i) acc[i] = std::max(acc[i], in[i]);
+      break;
+    case ReduceOp::kMin:
+      for (std::size_t i = 0; i < n; ++i) acc[i] = std::min(acc[i], in[i]);
+      break;
+    case ReduceOp::kProd:
+      for (std::size_t i = 0; i < n; ++i) acc[i] *= in[i];
+      break;
+  }
+}
+
+/// Balanced partition of n items over p blocks: first (n % p) blocks get one
+/// extra item. Returns [start, end) of block b.
+inline std::pair<std::size_t, std::size_t> block_range(std::size_t n, int p, int b) {
+  const std::size_t base = n / p;
+  const std::size_t extra = n % p;
+  const std::size_t ub = static_cast<std::size_t>(b);
+  const std::size_t start = ub * base + std::min<std::size_t>(ub, extra);
+  const std::size_t len = base + (ub < extra ? 1 : 0);
+  return {start, start + len};
+}
+
+/// Whether an allreduce of n elements of T over p ranks runs the ring:
+/// kAuto picks it above kAllreduceRingThresholdBytes, and the ring falls
+/// back to recursive doubling when its blocks would be empty (n < p).
+template <typename T>
+bool allreduce_uses_ring(std::size_t n, int p, AllreduceAlgo algo) {
+  const bool ring = algo == AllreduceAlgo::kRing ||
+                    (algo == AllreduceAlgo::kAuto &&
+                     n * sizeof(T) > kAllreduceRingThresholdBytes);
+  return ring && n >= static_cast<std::size_t>(p);
+}
+
+}  // namespace internal
+
 /// A resumable collective operation. Lifecycle: construct (allocates tags,
-/// touches no wire) → start() (first sends/receives) → progress() until done.
+/// touches no wire) → start() (first sends/receives) → progress() until
+/// done; or construct → run() for a blocking call.
 class NbOp {
  public:
   virtual ~NbOp() = default;
@@ -92,6 +145,18 @@ class NbOp {
     progress();
   }
 
+  /// Run the op to completion on the calling thread, outside any engine:
+  /// the body of the blocking collectives. Records no comm.op.* or
+  /// comm.ops.* counters — the blocking call's CollectiveScope counts it.
+  void run() {
+    DC_REQUIRE(!started_, "nonblocking op started twice");
+    started_ = true;
+    if (!begin()) {
+      while (!advance()) block();
+    }
+    done_ = true;
+  }
+
  protected:
   /// Post the first sends/receives. True if the op is already complete
   /// (single-rank groups, zero-length buffers).
@@ -139,9 +204,9 @@ class RequestDrivenOp : public NbOp {
   Request pending_;  ///< receive the op is currently blocked on
 };
 
-/// Nonblocking recursive-doubling allreduce; the resumable twin of
-/// allreduce_recursive_doubling() with the identical fold → exchange →
-/// unfold partner schedule and reduction order.
+/// Recursive-doubling allreduce (latency-optimal, small n): the first 2·rem
+/// ranks fold pairwise down to a power of two, the survivors exchange over
+/// a hypercube, and the folded-away ranks receive the result back.
 template <typename T>
 class NbAllreduceRd final : public RequestDrivenOp {
  public:
@@ -223,11 +288,10 @@ class NbAllreduceRd final : public RequestDrivenOp {
   std::vector<T> tmp_;
 };
 
-/// Nonblocking ring allreduce: the resumable twin of allreduce_ring()
-/// (ring reduce-scatter over the balanced block partition, owner exchange,
-/// ring allgather) with identical block boundaries and reduction order.
-/// Callers must guarantee n >= p (the dispatcher falls back to recursive
-/// doubling below that, exactly like the blocking kAuto/kRing paths).
+/// Ring allreduce (bandwidth-optimal, large n): ring reduce-scatter over the
+/// balanced block partition, owner exchange, ring allgather. Callers must
+/// guarantee n >= p (internal::allreduce_uses_ring falls back to recursive
+/// doubling below that).
 template <typename T>
 class NbAllreduceRing final : public RequestDrivenOp {
  public:
@@ -270,7 +334,7 @@ class NbAllreduceRing final : public RequestDrivenOp {
         }
         // Rank me now holds the fully reduced block (me + 1) % p; swap it
         // straight to its owner and receive my own block from my left
-        // neighbour (who holds it), as in reduce_scatter_inplace.
+        // neighbour (who holds it).
         const int have = (me_ + 1) % p_;
         const auto [ms, me2] = internal::block_range(n_, p_, me_);
         const auto [hs, he] = internal::block_range(n_, p_, have);
@@ -325,8 +389,8 @@ class NbAllreduceRing final : public RequestDrivenOp {
   std::vector<T> tmp_;
 };
 
-/// Nonblocking ring allgatherv; the resumable twin of allgatherv() with the
-/// same ring schedule (no arithmetic, so exactness is trivial).
+/// Ring allgatherv: in step s each rank forwards the block it received in
+/// step s-1 (no arithmetic, so exactness is trivial).
 template <typename T>
 class NbAllgatherv final : public RequestDrivenOp {
  public:
@@ -379,8 +443,7 @@ class NbAllgatherv final : public RequestDrivenOp {
   int p_ = 1, me_ = 0, right_ = 0, left_ = 0, s_ = 0;
 };
 
-/// Nonblocking binomial-tree broadcast; the resumable twin of broadcast()
-/// with the identical shifted-rank partner schedule (no arithmetic, so
+/// Binomial-tree broadcast in shifted rank space (no arithmetic, so
 /// exactness is trivial). A non-root rank blocks on exactly one receive —
 /// from its tree parent — then eagerly forwards to its children; the root
 /// completes inside begin(). The serving loop uses this to double-buffer the
@@ -439,14 +502,16 @@ class NbBroadcast final : public RequestDrivenOp {
   int p_ = 1, vrank_ = 0, recv_mask_ = 0;
 };
 
-/// Nonblocking twin of reduce_scatterv_inplace(): the same ring over
-/// caller-chosen blocks with the same apply order per element, restructured
-/// into one posted receive per round. The optional `pack` callback defers
+/// Ring reduce-scatter over caller-chosen blocks (see
+/// reduce_scatterv_inplace() for the block layout), one posted receive per
+/// round; after p-1 steps each rank holds the fully reduced block of its
+/// right neighbour and swaps it straight to its owner. The optional `pack`
+/// callback defers
 /// filling a block of `buf` until just before the schedule first touches it
 /// (one block ahead of its reduce), so the channel-parallel forward's
 /// packing of later filter slices pipelines with the communication of
 /// earlier rounds instead of happening up front. With a null `pack`, the
-/// caller pre-packs the whole buffer, exactly like the blocking call.
+/// caller pre-packs the whole buffer.
 template <typename T>
 class NbReduceScattervInplace final : public RequestDrivenOp {
  public:
@@ -503,7 +568,7 @@ class NbReduceScattervInplace final : public RequestDrivenOp {
           return false;
         }
         // Rank me holds the fully reduced block (me + 1) % p; swap it to its
-        // owner and receive my own block, as in reduce_scatterv_inplace.
+        // owner and receive my own block from my left neighbour.
         const int have = (me_ + 1) % p_;
         stage_ = Stage::kOwnerSwap;
         pending_ = comm_->irecv(buf_ + displs_[me_], counts_[me_] * sizeof(T),
@@ -544,26 +609,14 @@ class NbReduceScattervInplace final : public RequestDrivenOp {
   std::vector<T> tmp_;
 };
 
-/// Build the nonblocking allreduce matching what the blocking allreduce()
-/// would execute for (n, algo): kAuto picks recursive doubling at or below
-/// kAllreduceRingThresholdBytes, and the ring path falls back to recursive
-/// doubling when blocks would be empty (n < p) — so the op's arithmetic is
-/// bitwise-identical to the blocking call's.
+/// Build the allreduce op the blocking allreduce() runs for (n, algo); see
+/// internal::allreduce_uses_ring.
 template <typename T>
 std::unique_ptr<NbOp> make_iallreduce(Comm& comm, T* buf, std::size_t n,
                                       ReduceOp op,
                                       AllreduceAlgo algo = AllreduceAlgo::kAuto,
                                       int tag = -1) {
-  bool ring = false;
-  switch (algo) {
-    case AllreduceAlgo::kRecursiveDoubling: ring = false; break;
-    case AllreduceAlgo::kRing: ring = true; break;
-    case AllreduceAlgo::kAuto:
-      ring = n * sizeof(T) > kAllreduceRingThresholdBytes;
-      break;
-  }
-  if (ring && n < static_cast<std::size_t>(comm.size())) ring = false;
-  if (ring) {
+  if (internal::allreduce_uses_ring<T>(n, comm.size(), algo)) {
     return std::make_unique<NbAllreduceRing<T>>(comm, buf, n, op, tag);
   }
   return std::make_unique<NbAllreduceRd<T>>(comm, buf, n, op, tag);

@@ -14,9 +14,8 @@
 //   hooks — no extra thread; instead the kernel runtime's parallel_for fires
 //     a hook at every chunk boundary (support/parallel.hpp) and the hook
 //     sweeps the registry, so progress rides the compute threads themselves.
-//   off — background progression disabled; the engine behaves exactly like a
-//     bare CollectiveEngine (progress only at explicit calls), which is the
-//     pre-progress-engine behaviour.
+//   off — no background driver; the engine behaves exactly like a bare
+//     CollectiveEngine (progress only at the owner's explicit calls).
 //
 // Background progression never changes results: each op's partner schedule
 // and per-element reduction order are fixed at construction, so advancing an

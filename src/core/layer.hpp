@@ -36,29 +36,23 @@ enum class BatchNormMode { kLocal, kSpatial, kGlobal };
 /// inert — the property the serving batcher relies on) and mutates no state.
 enum class Mode { kTraining, kInference };
 
-/// Default for ModelOptions::overlap_allreduce: on unless the
-/// DC_OVERLAP_ALLREDUCE environment knob disables it ("0"/"false"/"off").
-/// The default flipped to on once the progress engine kept the hidden
-/// fraction high on few-core hosts (see README "Communication/computation
-/// overlap"); CI gates the blocking path by setting it to 0 in one cell.
-bool overlap_allreduce_from_env();
-
+/// Every halo refresh, shuffle, channel reduce-scatter and gradient sum of a
+/// Model runs as one resumable op on the Model's engine; results are bitwise
+/// identical under every combination of these options, which only choose
+/// when the ops are enqueued and drained, and who advances them.
 struct ModelOptions {
-  bool overlap_halo = true;  ///< interior/boundary split to hide halo exchange
-  /// Complete each layer's weight gradient with nonblocking collectives
-  /// enqueued as backprop retires the layer (reverse layer order, one op on
-  /// the wire at a time), instead of one blocking sweep after backprop —
-  /// the executable form of the cost model's greedy allreduce overlap.
-  /// Results are bitwise identical either way (fixed reduction order per
-  /// op); the knob only moves when the communication happens. Default on.
-  bool overlap_allreduce = overlap_allreduce_from_env();
-  /// Who advances in-flight collective rounds while kernels run: a dedicated
-  /// progress thread, parallel_for chunk-boundary hooks, or nobody (rounds
-  /// then advance only at layer boundaries, the pre-engine behaviour).
-  /// When not kOff the model also routes halo refreshes, redistribution
-  /// shuffles and the channel-parallel forward's reduce-scatter through the
-  /// engine so they overlap too. Results are bitwise identical in every
-  /// mode. Default: DC_COMM_PROGRESS, "thread" when unset.
+  /// Enqueue a layer's input halo refresh before its interior compute and
+  /// drain it before the boundary (§IV-A), instead of draining it first.
+  bool overlap_halo = true;
+  /// Enqueue each layer's gradient completion as soon as backprop retires
+  /// the layer (reverse layer order, one op on the wire at a time) — the
+  /// executable form of the cost model's greedy allreduce overlap — instead
+  /// of enqueueing every layer's after backprop and draining at once.
+  bool overlap_allreduce = true;
+  /// Who advances in-flight ops while kernels run: a dedicated progress
+  /// thread, parallel_for chunk-boundary hooks, or, for kOff, no background
+  /// driver (ops then advance only when the owning rank polls or drains).
+  /// Default: DC_COMM_PROGRESS, "thread" when unset.
   comm::ProgressMode comm_progress = comm::progress_mode_from_env();
   /// Test-only: invoked after each layer's backward kernels retire (and its
   /// gradient completions are enqueued), with the layer index. The overlap
@@ -80,7 +74,8 @@ struct ModelOptions {
 /// tracks whether margins currently mirror neighbour data; producers clear
 /// it when they overwrite the interior, consumers refresh on demand. The
 /// flag transitions are identical on every rank (same program order), so
-/// skip decisions stay collectively consistent.
+/// skip decisions stay collectively consistent. Refreshes run through
+/// Model::post_refresh / finish_refresh.
 struct ActTensor {
   DistTensor<float> t;
   std::unique_ptr<HaloExchange<float>> halo;  ///< null when margins are zero
@@ -90,13 +85,6 @@ struct ActTensor {
     if (!t.margins_h().all_zero() || !t.margins_w().all_zero()) {
       halo = std::make_unique<HaloExchange<float>>(&t);
     }
-  }
-
-  /// Blocking refresh (no overlap).
-  void ensure_fresh() {
-    if (fresh || halo == nullptr) return;
-    halo->exchange();
-    fresh = true;
   }
 
   void mark_stale() { fresh = false; }

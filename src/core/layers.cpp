@@ -67,6 +67,26 @@ std::vector<Range2> boundary_ranges(const Range2& owned, const Range2& interior)
   return out;
 }
 
+/// Run `compute` over `out_owned` with the margins of `xa` fresh. With
+/// overlap_halo the refresh is enqueued first and hidden behind the
+/// interior, whose stencil (geometry `p`) reads no margins (§IV-A); the
+/// boundary strips run once it has drained.
+template <typename Params, typename Compute>
+void compute_with_fresh_halo(Model& model, ActTensor& xa, const Params& p,
+                             const Range2& out_owned, Compute&& compute) {
+  const std::uint64_t ticket = model.post_refresh(xa);
+  if (ticket == 0 || !model.options().overlap_halo) {
+    model.finish_refresh(xa, ticket);
+    compute(out_owned);
+    return;
+  }
+  const Range2 interior =
+      interior_range(xa.t, p.kh, p.kw, p.sh, p.sw, p.ph, p.pw, out_owned);
+  compute(interior);
+  model.finish_refresh(xa, ticket);
+  for (const Range2& b : boundary_ranges(out_owned, interior)) compute(b);
+}
+
 struct PoolScratch : LayerScratch {
   std::unique_ptr<DistTensor<std::int64_t>> argmax;
   std::unique_ptr<HaloExchange<std::int64_t>> argmax_halo;
@@ -149,11 +169,10 @@ void Conv2dLayer::init_scratch(Model& model, int index, LayerRt& rt) const {
 /// §III-D forward: y is a sum over all input channels, so each rank computes
 /// the full-F partial sum over its channel slice and a reduce-scatter over
 /// the channel group both completes the sum and leaves each rank exactly its
-/// filter slice of y. With the progress engine active, the halo refresh
-/// hides behind the interior partial (the §IV-A split also applies here —
-/// only the *boundary* rows of the partial need margins) and the
-/// reduce-scatter runs as an engine op whose per-block packing pipelines
-/// with its ring rounds.
+/// filter slice of y. The halo refresh hides behind the interior partial
+/// (the §IV-A split also applies here — only the *boundary* rows of the
+/// partial need margins) and the reduce-scatter runs as an engine op whose
+/// per-block packing pipelines with its ring rounds.
 void Conv2dLayer::forward_channel(Model& model, int index, LayerRt& rt) const {
   ActTensor& xa = *rt.inputs[0].read;
   DistTensor<float>& xt = xa.t;
@@ -162,7 +181,6 @@ void Conv2dLayer::forward_channel(Model& model, int index, LayerRt& rt) const {
   auto* scratch = dynamic_cast<ConvChannelScratch*>(rt.scratch.get());
   DC_CHECK(scratch != nullptr);
   auto& cgroup = model.channel_comm(index);
-  const int pc = cgroup.size();
 
   // Repack the weight slice (parameters changed since the last step).
   const DimPartition& cpart = xt.dist().c;
@@ -181,24 +199,7 @@ void Conv2dLayer::forward_channel(Model& model, int index, LayerRt& rt) const {
   };
   if (c_loc == 0) scratch->y_partial.zero();  // empty slice contributes zeros
 
-  if (xa.halo == nullptr || xa.fresh) {
-    compute_partial(out_owned);
-  } else if (model.options().overlap_halo && model.progress_active()) {
-    const auto ticket = model.comm_engine().enqueue(
-        std::make_unique<HaloRefreshOp<float>>(*xa.halo, HaloOp::kReplace,
-                                               xt.comm()));
-    const Range2 interior =
-        interior_range(xt, p.kh, p.kw, p.sh, p.sw, p.ph, p.pw, out_owned);
-    compute_partial(interior);
-    model.comm_engine().drain_until(ticket);
-    xa.fresh = true;
-    for (const Range2& b : boundary_ranges(out_owned, interior)) {
-      compute_partial(b);
-    }
-  } else {
-    xa.ensure_fresh();
-    compute_partial(out_owned);
-  }
+  compute_with_fresh_halo(model, xa, p, out_owned, compute_partial);
 
   // Reduce-scatter over the channel group: block q is member q's filter
   // slice of the partial (uneven when pc ∤ F, hence the v-variant).
@@ -206,30 +207,18 @@ void Conv2dLayer::forward_channel(Model& model, int index, LayerRt& rt) const {
   const Shape4& ys = scratch->y_partial.shape();
   const SliceBlocks blocks = channel_slice_blocks(fpart, ys.n, ys.h, ys.w);
   scratch->pack.resize(blocks.total);
-  if (model.progress_active()) {
-    // Engine op with lazy packing: block q is packed one ring step before
-    // its reduce, so the packing of later filter slices overlaps the rounds
-    // already in flight (and a background driver keeps those moving).
-    auto pack_block = [scratch, &fpart, ys, &blocks](int q) {
-      if (blocks.counts[q] == 0) return;
-      pack_box(scratch->y_partial, channel_slice_box(fpart, q, ys.n, ys.h, ys.w),
-               scratch->pack.data() + blocks.displs[q]);
-    };
-    const auto ticket =
-        model.comm_engine().enqueue(
-            std::make_unique<comm::NbReduceScattervInplace<float>>(
-                cgroup, scratch->pack.data(), blocks.counts,
-                comm::ReduceOp::kSum, pack_block));
-    model.comm_engine().drain_until(ticket);
-  } else {
-    for (int q = 0; q < pc; ++q) {
-      if (blocks.counts[q] == 0) continue;
-      pack_box(scratch->y_partial, channel_slice_box(fpart, q, ys.n, ys.h, ys.w),
-               scratch->pack.data() + blocks.displs[q]);
-    }
-    comm::reduce_scatterv_inplace(cgroup, scratch->pack.data(), blocks.counts,
-                                  comm::ReduceOp::kSum);
-  }
+  // Lazy packing: block q is packed one ring step before its reduce, so the
+  // packing of later filter slices overlaps the rounds already in flight
+  // (and a background driver keeps those moving).
+  auto pack_block = [scratch, &fpart, ys, &blocks](int q) {
+    if (blocks.counts[q] == 0) return;
+    pack_box(scratch->y_partial, channel_slice_box(fpart, q, ys.n, ys.h, ys.w),
+             scratch->pack.data() + blocks.displs[q]);
+  };
+  model.comm_engine().drain_until(model.comm_engine().enqueue(
+      std::make_unique<comm::NbReduceScattervInplace<float>>(
+          cgroup, scratch->pack.data(), blocks.counts, comm::ReduceOp::kSum,
+          pack_block)));
   unpack_box(scratch->pack.data() + blocks.displs[cgroup.rank()],
              yt.interior_box(), yt.buffer());
 
@@ -262,7 +251,7 @@ void Conv2dLayer::forward_channel_inference(Model& model, int index,
   // Every channel-group member shares the same (n, h, w) coordinates and
   // margin frame, so the gathered buffers tile a dense full-C copy of the
   // local input block (margins included — the stencil reads them).
-  xa.ensure_fresh();
+  model.refresh(xa);
   const Shape4& xb = xt.buffer().shape();
   const DimPartition& cpart = xt.dist().c;
   const std::int64_t C = cpart.global();
@@ -321,7 +310,7 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
   // margin frame, so the gathered buffers stay coherent. A dead port leaves
   // dy without margins (backward-filter reads only the owned box), so there
   // is nothing to refresh; the allgather still runs for backward-filter.
-  rt.dy.ensure_fresh();
+  model.refresh(rt.dy);
 
   const DimPartition& fpart = dyt.dist().c;
   const Shape4& db = dyt.buffer().shape();
@@ -389,31 +378,7 @@ void Conv2dLayer::forward(Model& model, int index, LayerRt& rt) const {
     kernels::conv2d_forward(xt.buffer(), xo, w, yt.buffer(), yo, p, r);
   };
 
-  if (xa.halo == nullptr || xa.fresh) {
-    compute(out_owned);
-  } else if (model.options().overlap_halo) {
-    const Range2 interior =
-        interior_range(xt, p.kh, p.kw, p.sh, p.sw, p.ph, p.pw, out_owned);
-    if (model.progress_active()) {
-      // Engine-driven refresh: a background driver can test the transfers
-      // and unpack the margins while the interior kernel runs, so even the
-      // unpack leaves the critical path; drain_until is then just a fence.
-      const auto ticket = model.comm_engine().enqueue(
-          std::make_unique<HaloRefreshOp<float>>(*xa.halo, HaloOp::kReplace,
-                                                 xt.comm()));
-      compute(interior);
-      model.comm_engine().drain_until(ticket);
-    } else {
-      xa.halo->start();
-      compute(interior);
-      xa.halo->finish();
-    }
-    xa.fresh = true;
-    for (const Range2& b : boundary_ranges(out_owned, interior)) compute(b);
-  } else {
-    xa.ensure_fresh();
-    compute(out_owned);
-  }
+  compute_with_fresh_halo(model, xa, p, out_owned, compute);
   if (bias_) {
     kernels::bias_forward(yt.buffer(), yt.interior_box(), rt.params[1].data());
   }
@@ -437,23 +402,12 @@ void Conv2dLayer::backward(Model& model, int index, LayerRt& rt) const {
   // Backward-data needs dL/dy halos; the exchange is hidden behind the
   // filter-gradient kernel, which only reads the owned interior (§IV-A:
   // "exploit the task-level parallelism of backward data and filter
-  // convolutions"). With the progress engine, the exchange rides the wire
-  // channel behind whatever gradient ops later layers already enqueued, and
-  // a background driver can retire it (margin unpack included) mid-kernel.
-  // A dead port (no consumer of dL/dx) gives dy no margins, hence no halo:
-  // only backward-filter runs.
-  const bool exchange = rt.dy.halo != nullptr && !rt.dy.fresh;
-  const bool overlap = exchange && model.options().overlap_halo;
-  const bool engine = overlap && model.progress_active();
-  std::uint64_t halo_ticket = 0;
-  if (engine) {
-    halo_ticket = model.comm_engine().enqueue(
-        std::make_unique<HaloRefreshOp<float>>(*rt.dy.halo, HaloOp::kReplace,
-                                               dyt.comm()));
-  } else if (overlap) {
-    rt.dy.halo->start();
-  }
-  if (exchange && !overlap) rt.dy.ensure_fresh();
+  // convolutions"). The refresh rides the wire channel behind whatever
+  // gradient ops later layers already enqueued, and a background driver can
+  // retire it (margin unpack included) mid-kernel. A dead port (no consumer
+  // of dL/dx) gives dy no margins, hence no halo: only backward-filter runs.
+  const std::uint64_t halo = model.post_refresh(rt.dy);
+  if (!model.options().overlap_halo) model.finish_refresh(rt.dy, halo);
 
   kernels::conv2d_backward_filter(xt.buffer(), xo, dyt.buffer(), dyo, rt.grads[0],
                                   p, out_owned, /*accumulate=*/true);
@@ -462,13 +416,7 @@ void Conv2dLayer::backward(Model& model, int index, LayerRt& rt) const {
                            /*accumulate=*/true);
   }
 
-  if (engine) {
-    model.comm_engine().drain_until(halo_ticket);
-    rt.dy.fresh = true;
-  } else if (overlap) {
-    rt.dy.halo->finish();
-    rt.dy.fresh = true;
-  }
+  model.finish_refresh(rt.dy, halo);
 
   if (!port.live) return;
   const Range2 in_owned = owned_range(port.dx.owned_box());
@@ -523,43 +471,25 @@ void Pool2dLayer::forward(Model& model, int, LayerRt& rt) const {
                             in_w);
   };
 
-  if (xa.halo == nullptr || xa.fresh) {
-    compute(out_owned);
-  } else if (model.options().overlap_halo) {
-    xa.halo->start();
-    const Range2 interior =
-        interior_range(xt, p.kh, p.kw, p.sh, p.sw, p.ph, p.pw, out_owned);
-    compute(interior);
-    xa.halo->finish();
-    xa.fresh = true;
-    for (const Range2& b : boundary_ranges(out_owned, interior)) compute(b);
-  } else {
-    xa.ensure_fresh();
-    compute(out_owned);
-  }
+  compute_with_fresh_halo(model, xa, p, out_owned, compute);
 }
 
 void Pool2dLayer::backward(Model& model, int, LayerRt& rt) const {
-  (void)model;
   auto& port = rt.inputs[0];
   DistTensor<float>& dyt = rt.dy.t;
   const auto p = pool_params();
   auto* scratch = dynamic_cast<PoolScratch*>(rt.scratch.get());
 
-  // Refresh dy (and argmax) margins; the two exchanges run concurrently.
-  const bool want_dy = rt.dy.halo != nullptr && !rt.dy.fresh;
-  const bool want_am = scratch != nullptr && scratch->argmax_halo != nullptr &&
-                       !scratch->argmax_fresh;
-  if (want_dy) rt.dy.halo->start();
-  if (want_am) scratch->argmax_halo->start();
-  if (want_dy) {
-    rt.dy.halo->finish();
-    rt.dy.fresh = true;
-  }
-  if (want_am) {
-    scratch->argmax_halo->finish();
+  // Refresh dy (and argmax) margins; the two refreshes queue back to back.
+  const std::uint64_t dy_ticket = model.post_refresh(rt.dy);
+  if (scratch != nullptr && scratch->argmax_halo != nullptr &&
+      !scratch->argmax_fresh) {
+    model.comm_engine().drain_until(model.comm_engine().enqueue(
+        std::make_unique<HaloRefreshOp<std::int64_t>>(
+            *scratch->argmax_halo, HaloOp::kReplace, model.comm())));
     scratch->argmax_fresh = true;
   }
+  model.finish_refresh(rt.dy, dy_ticket);
 
   const Range2 in_owned = owned_range(port.dx.owned_box());
   const Tensor<std::int64_t>* am =

@@ -1,11 +1,10 @@
 #include "core/model.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 
+#include "comm/collectives.hpp"
 #include "core/layers.hpp"
 #include "kernels/activations.hpp"
 #include "obs/attribution.hpp"
@@ -14,30 +13,15 @@
 
 namespace distconv::core {
 
-bool overlap_allreduce_from_env() {
-  const char* s = std::getenv("DC_OVERLAP_ALLREDUCE");
-  if (s == nullptr) return true;  // default on since the progress engine
-  if (std::strcmp(s, "0") == 0 || std::strcmp(s, "false") == 0 ||
-      std::strcmp(s, "off") == 0) {
-    return false;
-  }
-  if (std::strcmp(s, "1") == 0 || std::strcmp(s, "true") == 0 ||
-      std::strcmp(s, "on") == 0) {
-    return true;
-  }
-  // With the default flipped to on, a typo'd disable must not silently
-  // enable the path under debug — fail loudly like DC_COMM_PROGRESS does.
-  DC_FAIL("DC_OVERLAP_ALLREDUCE must be one of 1|true|on|0|false|off, got \"",
-          s, "\"");
-}
-
 namespace {
 
-/// Nonblocking twin of Model::reduce_sliced_weight_grad: pack the owned
-/// channel columns, shrunk allreduce over the slice communicator, allgather
-/// across the channel group, unpack the full gradient. Both tags are
-/// allocated at construction (enqueue) time so every member rank draws them
-/// in the same program order regardless of how wire schedules interleave.
+/// Complete a channel-parallel conv's weight gradient: each rank holds the
+/// dL/dw columns of its channel slice. Pack them, run the shrunk allreduce
+/// (1/pc of the weight volume) over the P/pc ranks sharing the slice, then
+/// allgather the slices across the channel group and unpack, so every rank
+/// applies the bitwise-identical full gradient. Both tags are allocated at
+/// construction (enqueue) time so every member rank draws them in the same
+/// program order regardless of how wire schedules interleave.
 class SlicedWeightGradOp final : public comm::NbOp {
  public:
   SlicedWeightGradOp(comm::Comm& slice_comm, comm::Comm& channel_comm,
@@ -109,8 +93,8 @@ class SlicedWeightGradOp final : public comm::NbOp {
 /// recursive-doubling allreduce to amortize latency. Recursive doubling
 /// applies the reduction element-wise with the same partner order whatever
 /// the buffer layout, and each bucketed gradient is individually at or
-/// below the ring threshold, so the blocking path's per-gradient kAuto
-/// allreduces compute the bitwise-identical sums.
+/// below the ring threshold, so per-gradient kAuto allreduces would compute
+/// the bitwise-identical sums.
 class SmallGradBucketOp final : public comm::NbOp {
  public:
   SmallGradBucketOp(comm::Comm& comm,
@@ -362,7 +346,6 @@ void Model::set_input(int layer, const Tensor<float>& global) {
 
 void Model::forward(Mode mode) {
   mode_ = mode;
-  const bool engine_moves = progress_active();
   const bool timing = obs::timing_enabled();
   for (int i = 0; i < num_layers(); ++i) {
     const std::int64_t t0 = timing ? obs::trace::now_ns() : 0;
@@ -371,27 +354,22 @@ void Model::forward(Mode mode) {
     auto& rt = rts_[i];
     for (auto& port : rt.inputs) {
       if (port.fwd_shuffle != nullptr) {
-        if (port.pending_fwd_shuffle != 0) {
-          // Pre-posted when the parent finished; the rounds advanced behind
-          // the layers in between, so this usually just retires the op.
-          engine_.drain_until(port.pending_fwd_shuffle);
-          port.pending_fwd_shuffle = 0;
-        } else {
-          port.fwd_shuffle->run(rts_[port.parent].y.t, port.staging->t);
-        }
+        // Pre-posted when the parent finished; the rounds advanced behind
+        // the layers in between, so this usually just retires the op.
+        DC_CHECK(port.pending_fwd_shuffle != 0);
+        engine_.drain_until(port.pending_fwd_shuffle);
+        port.pending_fwd_shuffle = 0;
         port.staging->mark_stale();
       }
     }
     spec_->layer(i).forward(*this, i, rt);
     rt.y.mark_stale();
-    if (engine_moves) {
-      // This layer's output is final: pre-post every consumer shuffle fed by
-      // it (topological order guarantees consumers run later).
-      for (const auto& [child, k] : shuffle_children_[i]) {
-        auto& cport = rts_[child].inputs[k];
-        cport.pending_fwd_shuffle =
-            engine_.enqueue(cport.fwd_shuffle->make_op(rt.y.t, cport.staging->t));
-      }
+    // This layer's output is final: pre-post every consumer shuffle fed by
+    // it (topological order guarantees consumers run later).
+    for (const auto& [child, k] : shuffle_children_[i]) {
+      auto& cport = rts_[child].inputs[k];
+      cport.pending_fwd_shuffle =
+          engine_.enqueue(cport.fwd_shuffle->make_op(rt.y.t, cport.staging->t));
     }
     if (timing) {
       const std::int64_t dur = obs::trace::now_ns() - t0;
@@ -476,21 +454,16 @@ void Model::zero_error_signals() {
   }
 }
 
-void Model::accumulate_into_parent_dy(LayerRt& rt) {
-  for (auto& port : rt.inputs) {
-    if (!port.live) continue;
-    auto& pdy = rts_[port.parent].dy;
-    if (port.bwd_shuffle != nullptr) {
-      port.bwd_shuffle->run(port.dx, *port.bwd_staging);
-      kernels::add_inplace(pdy.t.buffer(), pdy.t.interior_box(),
-                           port.bwd_staging->buffer(),
-                           port.bwd_staging->interior_box());
-    } else {
-      kernels::add_inplace(pdy.t.buffer(), pdy.t.interior_box(),
-                           port.dx.buffer(), port.dx.interior_box());
-    }
-    pdy.mark_stale();
-  }
+std::uint64_t Model::post_refresh(ActTensor& a) {
+  if (a.fresh || a.halo == nullptr) return 0;
+  return engine_.enqueue(std::make_unique<HaloRefreshOp<float>>(
+      *a.halo, HaloOp::kReplace, a.t.comm()));
+}
+
+void Model::finish_refresh(ActTensor& a, std::uint64_t ticket) {
+  if (ticket == 0) return;
+  engine_.drain_until(ticket);
+  a.fresh = true;
 }
 
 void Model::defer_parent_dy(int layer) {
@@ -510,9 +483,9 @@ void Model::apply_pending_dy(int layer) {
   auto& pending = pending_dy_[layer];
   if (pending.empty()) return;
   auto& pdy = rts_[layer].dy;
-  // Children were recorded in descending layer order — exactly the order the
-  // blocking path added them — so the sums into dy are bitwise identical;
-  // only the shuffles' wire time moved off the critical path.
+  // Children were recorded in descending layer order, so the sums into dy
+  // follow one fixed order; the shuffles' wire time stays off the critical
+  // path.
   for (const auto& [child, k] : pending) {
     auto& port = rts_[child].inputs[k];
     if (port.bwd_shuffle != nullptr) {
@@ -536,68 +509,12 @@ void Model::zero_gradients() {
   }
 }
 
-void Model::reduce_sliced_weight_grad(int layer, Tensor<float>& grad) {
-  const ProcessGrid& grid = rts_[layer].grid;
-  const auto coord = grid.coord_of(comm_->rank());
-  const Shape4& ws = grad.shape();  // (F, C, Kh, Kw)
-  const DimPartition cpart(ws.c, grid.c);
-
-  // Pack the owned channel columns (this rank only ever wrote those).
-  const Box4 my_cols = channel_slice_box(cpart, coord.c, ws.n, ws.h, ws.w);
-  std::vector<float> slice(static_cast<std::size_t>(my_cols.volume()));
-  pack_box(grad, my_cols, slice.data());
-
-  // The shrunk allreduce: 1/pc of the weight volume over the P/pc ranks that
-  // share this slice.
-  comm::allreduce(slice_comm(layer), slice.data(), slice.size(),
-                  comm::ReduceOp::kSum);
-
-  // Replicate: allgather the slices across the channel group and unpack, so
-  // every rank applies the bitwise-identical full gradient.
-  auto& cgroup = channel_comm(layer);
-  const int pc = cgroup.size();
-  const SliceBlocks blocks = channel_slice_blocks(cpart, ws.n, ws.h, ws.w);
-  std::vector<float> all(blocks.total);
-  comm::allgatherv(cgroup, slice.data(), slice.size(), all.data(),
-                   blocks.counts, blocks.displs);
-  for (int q = 0; q < pc; ++q) {
-    unpack_box(all.data() + blocks.displs[q],
-               channel_slice_box(cpart, q, ws.n, ws.h, ws.w), grad);
-  }
-}
-
 void Model::allreduce_gradients() {
   // Complete dL/dw: allreduce over every rank (weights are replicated on
-  // all of them — the BPa_ℓ term of the performance model). Reverse layer
-  // order matches the backprop schedule the model overlaps against.
-  // Channel-parallel conv layers computed only the channel-slice columns of
-  // their weight gradient, so those take the shrunk slice allreduce +
-  // allgather route; their bias gradients (disjoint filter slices, zeros
-  // elsewhere) and every other layer's gradients sum over the full
-  // communicator as before.
-  const bool timing = obs::timing_enabled();
-  const std::int64_t t0 = timing ? obs::trace::now_ns() : 0;
-  for (int i = num_layers() - 1; i >= 0; --i) {
-    auto& rt = rts_[i];
-    for (std::size_t k = 0; k < rt.grads.size(); ++k) {
-      auto& g = rt.grads[k];
-      if (k == 0 && is_channel_parallel(i)) {
-        reduce_sliced_weight_grad(i, g);
-      } else {
-        comm::allreduce(*comm_, g.data(), static_cast<std::size_t>(g.size()),
-                        comm::ReduceOp::kSum);
-      }
-    }
-  }
-  if (timing) {
-    // Blocking path only: the overlapped ops report under
-    // comm.op.gradreduce.* via the nonblocking engine.
-    static const obs::metrics::Counter gradreduce_ns =
-        obs::metrics::counter("comm.gradreduce.ns");
-    const std::int64_t dur = obs::trace::now_ns() - t0;
-    gradreduce_ns.add(static_cast<std::uint64_t>(dur));
-    obs::trace::emit_complete("gradreduce", "comm", t0, dur);
-  }
+  // all of them — the BPa_ℓ term of the performance model), in the reverse
+  // layer order of the backprop schedule the overlapped path follows.
+  for (int i = num_layers() - 1; i >= 0; --i) enqueue_gradient_completion(i);
+  engine_.drain();
 }
 
 void Model::enqueue_gradient_completion(int layer) {
@@ -612,6 +529,11 @@ void Model::enqueue_gradient_completion(int layer) {
     op->set_obs_bytes(bytes);
     engine_.enqueue(std::move(op));
   };
+  // Channel-parallel conv layers computed only the channel-slice columns of
+  // their weight gradient, so those take the shrunk slice allreduce +
+  // allgather route; their bias gradients (disjoint filter slices, zeros
+  // elsewhere) and every other layer's gradients sum over the full
+  // communicator.
   std::vector<std::pair<float*, std::size_t>> small;
   for (std::size_t k = 0; k < rt.grads.size(); ++k) {
     auto& g = rt.grads[k];
@@ -651,7 +573,6 @@ void Model::backward(bool accumulate, bool complete) {
   DC_CHECK(engine_.idle());
   if (!accumulate) zero_gradients();
   const bool overlap = complete && opts_.overlap_allreduce;
-  const bool engine_moves = progress_active();
   grad_completion_seconds_ = 0;
   const bool timing = obs::timing_enabled();
   for (int i = num_layers() - 1; i >= 0; --i) {
@@ -659,30 +580,21 @@ void Model::backward(bool accumulate, bool complete) {
     const std::uint64_t lw0 =
         timing ? obs::thread_wait_totals().total_ns() : 0;
     auto& rt = rts_[i];
-    const Layer& layer = spec_->layer(i);
-    if (overlap) engine_.progress();  // advance in-flight rounds
     // Children ran already (reverse order): fold their deferred error
     // contributions into this layer's dy before its backward reads it.
-    if (engine_moves) apply_pending_dy(i);
+    apply_pending_dy(i);
     // A layer whose dL/dy nothing consumes (no parameters, no live input
     // port) has no backward at all.
     if (rt.dy_live) {
-      layer.backward(*this, i, rt);
-      if (overlap) engine_.progress();
-      if (engine_moves) {
-        defer_parent_dy(i);
-      } else {
-        accumulate_into_parent_dy(rt);
-      }
+      spec_->layer(i).backward(*this, i, rt);
+      defer_parent_dy(i);
     }
     // This layer's gradients are final (later layers only touch their own):
     // put their completion on the wire behind whatever is already in
-    // flight, then poll so finished ops free the channel — the engine-side
-    // realization of the model's greedy single-channel schedule.
-    if (overlap) {
-      enqueue_gradient_completion(i);
-      engine_.progress();
-    }
+    // flight — the engine-side realization of the model's greedy
+    // single-channel schedule. Then poll so finished ops free the channel.
+    if (overlap) enqueue_gradient_completion(i);
+    engine_.progress();
     if (opts_.backward_layer_hook) opts_.backward_layer_hook(i);
     if (timing) {
       const std::int64_t dur = obs::trace::now_ns() - lt0;
@@ -702,7 +614,6 @@ void Model::backward(bool accumulate, bool complete) {
     if (overlap) {
       engine_.drain();
     } else {
-      engine_.drain();  // retire any deferred backward shuffles first
       allreduce_gradients();
     }
     grad_completion_seconds_ =

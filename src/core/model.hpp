@@ -69,20 +69,21 @@ class Model {
   }
 
   /// The model's communication engine: gradient completions, pre-posted
-  /// shuffles, engine-driven halo refreshes and the channel-parallel
-  /// forward's reduce-scatter all serialize onto this one wire channel (the
-  /// cost model's greedy single-op schedule), and a background driver keeps
-  /// its in-flight rounds advancing while kernels run (DC_COMM_PROGRESS).
+  /// shuffles, halo refreshes and the channel-parallel forward's
+  /// reduce-scatter all serialize onto this one wire channel (the cost
+  /// model's greedy single-op schedule), and a background driver keeps its
+  /// in-flight rounds advancing while kernels run (DC_COMM_PROGRESS).
   comm::ProgressEngine& comm_engine() { return engine_; }
   const comm::ProgressEngine& comm_engine() const { return engine_; }
 
-  /// True when communication ops route through the progress engine (the
-  /// engine's background driver may be a thread or the kernel-pool hooks).
-  /// False (DC_COMM_PROGRESS=off) keeps the pre-engine blocking paths for
-  /// halos/shuffles/reduce-scatters — results are bitwise identical.
-  bool progress_active() const {
-    return opts_.comm_progress != comm::ProgressMode::kOff;
-  }
+  /// Enqueue a margin refresh of `a` on the engine when its margins are
+  /// stale; returns the ticket for finish_refresh (0: nothing to refresh).
+  /// Compute that reads no margins may run in between.
+  std::uint64_t post_refresh(ActTensor& a);
+  /// Drain the engine up to a post_refresh ticket and mark `a` fresh.
+  void finish_refresh(ActTensor& a, std::uint64_t ticket);
+  /// post_refresh + finish_refresh: `a`'s margins are fresh on return.
+  void refresh(ActTensor& a) { finish_refresh(a, post_refresh(a)); }
 
   /// Copy the owned box of a replicated global tensor into an input layer.
   void set_input(int layer, const Tensor<float>& global);
@@ -126,25 +127,26 @@ class Model {
   void backward(bool accumulate = false);
 
   /// Backpropagation with explicit gradient completion: complete=true
-  /// finishes every cross-rank gradient sum before returning. When
-  /// options().overlap_allreduce is set, completion is *overlapped*: each
-  /// layer's ops (full allreduce, the shrunk slice-allreduce + channel-group
-  /// allgather for channel-parallel convs, or the small-gradient bucket) are
-  /// enqueued on the nonblocking engine as soon as the layer's backward
-  /// kernels retire, and the engine is drained before returning — so
-  /// sgd_step() always sees completed gradients. The one-argument overload
+  /// finishes every cross-rank gradient sum before returning: each layer's
+  /// ops (full allreduce, the shrunk slice-allreduce + channel-group
+  /// allgather for channel-parallel convs, or the small-gradient bucket) go
+  /// on the engine, which is drained before returning — so sgd_step()
+  /// always sees completed gradients. With options().overlap_allreduce the
+  /// ops are enqueued as soon as the layer's backward kernels retire,
+  /// otherwise all at once after backprop. The one-argument overload
   /// keeps the historical meaning (complete = !accumulate).
   void backward(bool accumulate, bool complete);
 
-  /// Complete deferred gradient sums across all ranks (blocking sweep).
+  /// Complete deferred gradient sums across all ranks: enqueue every
+  /// layer's completion ops, then drain.
   void allreduce_gradients();
 
   /// Seconds the most recent completing backward() spent finishing
-  /// gradients after its last backprop kernel: the blocking sweep's
-  /// duration, or — overlapped — the final engine drain, the executable
-  /// analogue of the model's `allreduce_exposed` (ideally ~0 when every op
-  /// was hidden behind backprop compute). Both include whatever rank skew
-  /// the completion absorbs, so the two modes compare like for like.
+  /// gradients after its last backprop kernel: allreduce_gradients(), or —
+  /// overlapped — the final engine drain, the executable analogue of the
+  /// model's `allreduce_exposed` (ideally ~0 when every op was hidden behind
+  /// backprop compute). Both include whatever rank skew the completion
+  /// absorbs, so the two modes compare like for like.
   double last_grad_completion_seconds() const {
     return grad_completion_seconds_;
   }
@@ -166,25 +168,17 @@ class Model {
   void build_tensors(const std::vector<Shape4>& shapes);
   /// Zero every allocated dy before a loss seeds the output's.
   void zero_error_signals();
-  void accumulate_into_parent_dy(LayerRt& rt);
-  /// Overlapped backward: enqueue each parent edge's dx move (a shuffle op
-  /// for cross-grid edges) and record the contribution; the adds into the
-  /// parents' dy are applied by apply_pending_dy() right before each parent
-  /// runs, in the identical child/port order as the blocking path, so the
-  /// floating-point accumulation chains are unchanged.
+  /// Enqueue each live parent edge's dx move (a shuffle op for cross-grid
+  /// edges) and record the contribution; the adds into the parents' dy are
+  /// applied by apply_pending_dy() right before each parent runs, in
+  /// descending child order, so the floating-point accumulation chains are
+  /// fixed.
   void defer_parent_dy(int layer);
   /// Apply (and where needed, drain) the recorded dy contributions of
   /// `layer` in recorded order.
   void apply_pending_dy(int layer);
-  /// Enqueue the nonblocking completion ops for a layer's gradients on
-  /// grad_engine_ (overlapped backward path). Bitwise-equivalent to the
-  /// layer's slice of allreduce_gradients().
+  /// Enqueue the completion ops for a layer's gradients on the engine.
   void enqueue_gradient_completion(int layer);
-  /// Complete a channel-parallel conv's weight gradient: each rank holds the
-  /// dL/dw columns of its channel slice; allreduce the slice across the ranks
-  /// sharing it, then allgather the slices over the channel group so the
-  /// replicated parameters see the identical full gradient everywhere.
-  void reduce_sliced_weight_grad(int layer, Tensor<float>& grad);
 
   const NetworkSpec* spec_;
   comm::Comm* comm_;
@@ -199,8 +193,8 @@ class Model {
   /// forward shuffle is pre-posted the moment the producer's output is
   /// final, so the move overlaps every layer between producer and consumer.
   std::vector<std::vector<std::pair<int, int>>> shuffle_children_;
-  /// Deferred backward dy contributions per parent layer, in the blocking
-  /// path's application order: (child layer, port index).
+  /// Deferred backward dy contributions per parent layer, in application
+  /// order: (child layer, port index).
   std::vector<std::vector<std::pair<int, int>>> pending_dy_;
   /// Per-layer observability instruments (layer.<i>.{fwd,bwd}[.blocked].ns),
   /// interned once at construction so the train loop never composes names.

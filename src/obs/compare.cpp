@@ -62,16 +62,12 @@ ModelComparison compare_to_model(const metrics::Snapshot& snap,
     pred_ar += lc->allreduce;
   }
 
-  // Halo: blocking exchanges are timed inside HaloExchange (comm.halo.ns);
-  // engine-driven refreshes as nonblocking op durations.
-  const double meas_halo = ns_counter(snap, "comm.halo.ns") +
-                           ns_counter(snap, "comm.op.halo-refresh.ns");
-  // Gradient allreduce: the blocking sweep plus engine completions (the
-  // per-layer ops Model enqueues carry the "gradreduce" label).
-  const double meas_ar = ns_counter(snap, "comm.gradreduce.ns") +
-                         ns_counter(snap, "comm.op.gradreduce.ns");
-  const double meas_shuffle = ns_counter(snap, "comm.shuffle.ns") +
-                              ns_counter(snap, "comm.op.shuffle.ns");
+  // Every Model halo refresh, shuffle and gradient completion is an engine
+  // op, timed start → retirement under comm.op.<label>.ns (the gradient
+  // ops Model enqueues carry the "gradreduce" label).
+  const double meas_halo = ns_counter(snap, "comm.op.halo-refresh.ns");
+  const double meas_ar = ns_counter(snap, "comm.op.gradreduce.ns");
+  const double meas_shuffle = ns_counter(snap, "comm.op.shuffle.ns");
   const double meas_step = ns_counter(snap, "step.wall.ns");
 
   auto add = [&](const std::string& name, double measured, double modelled) {

@@ -60,14 +60,14 @@ LayerCost channel_filter_cost(const ConvLayerDesc& desc, int grid_n, int pc,
       const double x_bytes = 4.0 * work.n * desc.c *
                              ceil_ratio(desc.h, grid_h) *
                              ceil_ratio(desc.w, grid_w);
-      cost.fp_halo = 0.5 * comm.allreduce_ring(pc, x_bytes);
+      cost.fp_halo = 0.5 * comm.ring_allreduce(pc, x_bytes);
     }
   } else {
     cost.fp_compute = compute.conv_fwd(work);
-    if (pc > 1) cost.fp_halo = 0.5 * comm.allreduce_ring(pc, y_bytes);
+    if (pc > 1) cost.fp_halo = 0.5 * comm.ring_allreduce(pc, y_bytes);
   }
   if (pc > 1) {
-    cost.bpx_halo = 0.5 * comm.allreduce_ring(pc, y_bytes);
+    cost.bpx_halo = 0.5 * comm.ring_allreduce(pc, y_bytes);
   }
   if (grid_h > 1 || grid_w > 1) {
     const ProcessGrid grid{grid_n, pc, grid_h, grid_w};
@@ -86,7 +86,7 @@ LayerCost channel_filter_cost(const ConvLayerDesc& desc, int grid_n, int pc,
       4.0 * double(desc.f) * ceil_ratio(desc.c, pc) * desc.k * desc.k;
   const double w_bytes = 4.0 * double(desc.f) * desc.c * desc.k * desc.k;
   cost.allreduce = comm.allreduce(std::max(1, total_ranks / pc), w_slice_bytes);
-  if (pc > 1) cost.allreduce += 0.5 * comm.allreduce_ring(pc, w_bytes);
+  if (pc > 1) cost.allreduce += 0.5 * comm.ring_allreduce(pc, w_bytes);
   return cost;
 }
 

@@ -24,7 +24,7 @@ class CommModel {
   }
 
   /// Recursive-doubling allreduce: ⌈lg p⌉ (α + nβ + nγ).
-  double allreduce_recursive_doubling(int p, double bytes) const {
+  double recursive_doubling_allreduce(int p, double bytes) const {
     if (p <= 1) return 0.0;
     const double steps = std::ceil(std::log2(double(p)));
     const LinkModel& link = effective_link(p);
@@ -35,7 +35,7 @@ class CommModel {
   /// Ring allreduce: 2(p−1)α_hop + 2((p−1)/p)nβ + ((p−1)/p)nγ. Rings are
   /// chunk-pipelined (NCCL/Aluminum), so the per-hop latency is far below a
   /// full message α.
-  double allreduce_ring(int p, double bytes) const {
+  double ring_allreduce(int p, double bytes) const {
     if (p <= 1) return 0.0;
     const LinkModel& link = effective_link(p);
     const double frac = double(p - 1) / p;
@@ -47,11 +47,11 @@ class CommModel {
   /// Hierarchical allreduce: reduce within each node over NVLink, then ring
   /// across nodes at the aggregate per-node bandwidth, then broadcast within
   /// nodes (how Aluminum/NCCL treat fat nodes).
-  double allreduce_hierarchical(int p, double bytes) const {
+  double hierarchical_allreduce(int p, double bytes) const {
     const int gpn = m_.gpus_per_node;
-    if (p <= gpn) return allreduce_ring(p, bytes);
+    if (p <= gpn) return ring_allreduce(p, bytes);
     const int nodes = (p + gpn - 1) / gpn;
-    const double intra = allreduce_ring(gpn, bytes);
+    const double intra = ring_allreduce(gpn, bytes);
     const double frac = double(nodes - 1) / nodes;
     const double inter = 2.0 * (nodes - 1) * m_.ring_hop_latency +
                          2.0 * frac * bytes / m_.node_collective_bandwidth;
@@ -61,9 +61,9 @@ class CommModel {
   /// AR(p, n): the library picks the best algorithm per message size/span.
   double allreduce(int p, double bytes) const {
     if (p <= 1) return 0.0;
-    return std::min({allreduce_recursive_doubling(p, bytes),
-                     allreduce_ring(p, bytes),
-                     allreduce_hierarchical(p, bytes)});
+    return std::min({recursive_doubling_allreduce(p, bytes),
+                     ring_allreduce(p, bytes),
+                     hierarchical_allreduce(p, bytes)});
   }
 
   /// Shuffle(Di, Dj) per §III-C: pairwise all-to-all of `bytes_per_rank`

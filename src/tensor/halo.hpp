@@ -18,7 +18,6 @@
 
 #include "comm/comm.hpp"
 #include "comm/nonblocking.hpp"
-#include "obs/attribution.hpp"
 #include "tensor/dist_tensor.hpp"
 
 namespace distconv {
@@ -105,14 +104,8 @@ class HaloExchange {
   }
 
   void exchange(HaloOp op = HaloOp::kReplace) {
-    // Blocking path only: the overlapped HaloRefreshOp is timed by the
-    // nonblocking engine under comm.op.halo-refresh.*, so timing here too
-    // would double-count it in the model comparison.
-    const bool timing = obs::timing_enabled();
-    const std::int64_t t0 = timing ? obs::trace::now_ns() : 0;
     start(op);
     finish();
-    if (timing) record_blocking_exchange(t0);
   }
 
   /// Two-phase variant (kReplace only): exchange north/south edges first,
@@ -127,14 +120,11 @@ class HaloExchange {
         !two_phase_built_) {
       build_two_phase_plan();
     }
-    const bool timing = obs::timing_enabled();
-    const std::int64_t t0 = timing ? obs::trace::now_ns() : 0;
     auto& comm = t_->comm();
     // Phase 1: H-direction edges (no corners).
     run_blocking_phase(comm, phase_h_sends_, phase_h_recvs_);
     // Phase 2: W-direction columns spanning owned rows + H margins.
     run_blocking_phase(comm, two_phase_w_sends_, two_phase_w_recvs_);
-    if (timing) record_blocking_exchange(t0);
   }
 
   /// Total payload bytes this rank sends per kReplace exchange (for
@@ -156,16 +146,6 @@ class HaloExchange {
     int send_tag_off = 0;   ///< sub-tag when this side originates the message
     int recv_tag_off = 0;   ///< sub-tag the originator used (opposite dir)
   };
-
-  void record_blocking_exchange(std::int64_t t0) {
-    static const obs::metrics::Counter halo_ns =
-        obs::metrics::counter("comm.halo.ns");
-    const std::int64_t dur = obs::trace::now_ns() - t0;
-    halo_ns.add(static_cast<std::uint64_t>(dur));
-    const obs::trace::Arg args[] = {
-        {"bytes", static_cast<double>(send_bytes_per_exchange())}};
-    obs::trace::emit_complete("halo-exchange", "comm", t0, dur, args, 1);
-  }
 
   /// Unpack every completed receive and retire the in-flight exchange.
   void unpack_received() {
@@ -426,7 +406,7 @@ class HaloExchange {
 /// engine's FIFO head, and the margin unpack happens on whichever thread
 /// observes completion — so a progress thread can retire the whole refresh
 /// behind the consumer's interior compute. Same transfers and the same
-/// unpack as the blocking exchange(), hence bitwise-identical margins.
+/// unpack as exchange(), hence bitwise-identical margins.
 template <typename T>
 class HaloRefreshOp final : public comm::NbOp {
  public:

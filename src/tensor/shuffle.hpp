@@ -18,9 +18,7 @@
 #include <memory>
 #include <vector>
 
-#include "comm/collectives.hpp"
 #include "comm/nonblocking.hpp"
-#include "obs/attribution.hpp"
 #include "tensor/dist_tensor.hpp"
 
 namespace distconv {
@@ -66,35 +64,8 @@ class Shuffler {
   /// Move owned data of `src` into the owned region of `dst`. Margins of
   /// `dst` are not refreshed (run a HaloExchange afterwards if needed).
   void run(const DistTensor<T>& src, DistTensor<T>& dst) const {
-    DC_REQUIRE(src.dist() == src_ && dst.dist() == dst_,
-               "tensors do not match the planned distributions");
-    // Blocking path only; the overlapped ShuffleOp is timed by the
-    // nonblocking engine under comm.op.shuffle.*.
-    const bool timing = obs::timing_enabled();
-    const std::int64_t t0 = timing ? obs::trace::now_ns() : 0;
-    std::vector<T> sendbuf(send_total_), recvbuf(recv_total_);
-    const int p = comm_->size();
-    for (int r = 0; r < p; ++r) {
-      if (send_counts_[r] == 0) continue;
-      pack_box(src.buffer(), src.global_to_buffer(send_boxes_[r]),
-               sendbuf.data() + send_displs_[r]);
-    }
-    comm::alltoallv(*comm_, sendbuf.data(), send_counts_, send_displs_,
-                    recvbuf.data(), recv_counts_, recv_displs_);
-    for (int r = 0; r < p; ++r) {
-      if (recv_counts_[r] == 0) continue;
-      unpack_box(recvbuf.data() + recv_displs_[r],
-                 dst.global_to_buffer(recv_boxes_[r]), dst.buffer());
-    }
-    if (timing) {
-      static const obs::metrics::Counter shuffle_ns =
-          obs::metrics::counter("comm.shuffle.ns");
-      const std::int64_t dur = obs::trace::now_ns() - t0;
-      shuffle_ns.add(static_cast<std::uint64_t>(dur));
-      const obs::trace::Arg args[] = {
-          {"bytes", static_cast<double>(remote_send_elements() * sizeof(T))}};
-      obs::trace::emit_complete("shuffle", "comm", t0, dur, args, 1);
-    }
+    comm::OpScope scope("shuffle");
+    make_op(src, dst)->run();
   }
 
   /// Total elements this rank sends to other ranks (excludes the local copy);
@@ -115,8 +86,8 @@ class Shuffler {
   /// Build this shuffle as a progress-engine op moving src → dst. The tag is
   /// drawn here (enqueue time, SPMD order); the pairwise-exchange rounds run
   /// as the engine progresses the op, so a pre-posted shuffle overlaps the
-  /// layers between its producer and its consumer. Pure data movement with
-  /// the blocking run()'s boxes — bitwise-identical destination contents.
+  /// layers between its producer and its consumer. run() executes the same
+  /// op inline.
   std::unique_ptr<comm::NbOp> make_op(const DistTensor<T>& src,
                                       DistTensor<T>& dst) const {
     DC_REQUIRE(src.dist() == src_ && dst.dist() == dst_,
@@ -135,9 +106,9 @@ class Shuffler {
   std::size_t send_total_ = 0, recv_total_ = 0;
 };
 
-/// Resumable twin of Shuffler::run(): the same pairwise-exchange schedule as
+/// The shuffle as a resumable op: the pairwise-exchange schedule of
 /// comm::alltoallv (local copy, then round s exchanges with ranks me ± s),
-/// restructured into one posted receive per round. Packing happens when the
+/// one posted receive per round. Packing happens when the
 /// op starts (off the consumer's critical path when a progress driver runs
 /// it); the unpack into dst happens at completion.
 template <typename T>

@@ -10,6 +10,17 @@
 namespace distconv::comm {
 namespace {
 
+/// Balanced per-rank block sizes of n elements over p ranks (the first
+/// n % p blocks get one extra), as reduce_scatterv_inplace counts.
+std::vector<std::size_t> balanced_counts(std::size_t n, int p) {
+  std::vector<std::size_t> counts(p);
+  for (int b = 0; b < p; ++b) {
+    const auto [s, e] = internal::block_range(n, p, b);
+    counts[b] = e - s;
+  }
+  return counts;
+}
+
 // Many collectives are exercised over a sweep of world sizes, including
 // non-powers of two, which stress the pof2 fixups.
 class CollectiveSizes : public ::testing::TestWithParam<int> {};
@@ -158,7 +169,7 @@ TEST(Allreduce, ResultsBitwiseIdenticalAcrossRanks) {
   }
 }
 
-TEST_P(CollectiveSizes, ReduceScatterInplaceOwnedBlock) {
+TEST_P(CollectiveSizes, ReduceScattervBalancedOwnedBlock) {
   const int p = GetParam();
   World world(p);
   world.run([p](Comm& comm) {
@@ -166,7 +177,8 @@ TEST_P(CollectiveSizes, ReduceScatterInplaceOwnedBlock) {
     if (n < static_cast<std::size_t>(p)) return;
     std::vector<double> buf(n);
     for (std::size_t i = 0; i < n; ++i) buf[i] = comm.rank() + double(i);
-    reduce_scatter_inplace(comm, buf.data(), n, ReduceOp::kSum);
+    reduce_scatterv_inplace(comm, buf.data(), balanced_counts(n, p),
+                            ReduceOp::kSum);
     const auto [s, e] = internal::block_range(n, p, comm.rank());
     const double rank_sum = p * (p - 1) / 2.0;
     for (std::size_t i = s; i < e; ++i) {
@@ -255,7 +267,7 @@ TEST(CollectiveStats, RingAllreduceBandwidthOptimalVolume) {
   world.reset_stats();
   world.run([n](Comm& comm) {
     std::vector<float> buf(n, 1.0f);
-    allreduce_ring(comm, buf.data(), n, ReduceOp::kSum);
+    allreduce(comm, buf.data(), n, ReduceOp::kSum, AllreduceAlgo::kRing);
   });
   const CommStats s = world.stats();
   // reduce-scatter: (p-1) block sends per rank + 1 fixup, allgather: (p-1).
@@ -342,13 +354,14 @@ TEST_P(SubgroupCollectives, ChannelGroupShapedCollectives) {
       }
     }
 
-    // reduce_scatter_inplace (balanced blocks).
+    // reduce_scatterv_inplace with balanced blocks.
     {
       const std::size_t n = 29;
       if (n >= static_cast<std::size_t>(sp)) {
         std::vector<double> buf(n);
         for (std::size_t i = 0; i < n; ++i) buf[i] = sub.rank() + double(i);
-        reduce_scatter_inplace(sub, buf.data(), n, ReduceOp::kSum);
+        reduce_scatterv_inplace(sub, buf.data(), balanced_counts(n, sp),
+                                ReduceOp::kSum);
         const auto [s, e] = internal::block_range(n, sp, sub.rank());
         const double rank_sum = sp * (sp - 1) / 2.0;
         for (std::size_t i = s; i < e; ++i) {

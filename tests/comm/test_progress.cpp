@@ -49,10 +49,14 @@ TEST(ProgressEngine, ModeParsing) {
   EXPECT_STREQ(to_string(ProgressMode::kHooks), "hooks");
 }
 
-/// thread mode: a multi-round ring allreduce enqueued on every rank is
-/// driven to completion by the dedicated progress thread alone — the rank
-/// threads only watch idle() — and the result is bitwise identical to the
-/// blocking call.
+/// thread mode: a multi-round ring allreduce is driven to completion by the
+/// dedicated progress thread alone — the rank threads only watch idle() —
+/// and the result is bitwise identical to the blocking call. Every rank
+/// constructs its op first (drawing the tag in SPMD order); ranks 1..p-1
+/// enqueue before a barrier and rank 0 after it, so the enqueue-time
+/// progress() of ranks 1..p-1 cannot retire their ops: those need rank 0's
+/// contribution, which arrives only while their owners sit in the barrier
+/// or the idle wait.
 TEST(ProgressEngine, ThreadModeRetiresOpsWithoutOwnerProgress) {
   const int p = 4;
   const std::size_t n = 1 << 15;  // well above the ring threshold: p+1 rounds
@@ -64,10 +68,15 @@ TEST(ProgressEngine, ThreadModeRetiresOpsWithoutOwnerProgress) {
     allreduce(comm, blocking.data(), n, ReduceOp::kSum);
 
     ProgressEngine engine(ProgressMode::kThread);
-    engine.enqueue(make_iallreduce(comm, overlapped.data(), n, ReduceOp::kSum));
+    auto op = make_iallreduce(comm, overlapped.data(), n, ReduceOp::kSum);
+    if (comm.rank() != 0) engine.enqueue(std::move(op));
+    barrier(comm);
+    if (comm.rank() == 0) engine.enqueue(std::move(op));
     EXPECT_TRUE(wait_idle_without_progress(engine, std::chrono::seconds(20)))
         << "progress thread did not retire the op";
-    EXPECT_GE(engine.background_completions(), 1u);
+    if (comm.rank() != 0) {
+      EXPECT_GE(engine.background_completions(), 1u);
+    }
     EXPECT_EQ(0, std::memcmp(blocking.data(), overlapped.data(),
                              n * sizeof(float)));
     engine.drain();  // no-op; proves the owner-side API stays usable

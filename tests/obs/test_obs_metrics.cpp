@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "comm/collectives.hpp"
 #include "obs/metrics.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
@@ -141,6 +142,30 @@ TEST_F(ObsMetrics, NamedSlowPathHelpersAccumulate) {
   add_named("test.named", 3);
   inc_named("test.named");
   EXPECT_EQ(snapshot().counter_total("test.named"), 4u);
+}
+
+/// A blocking allreduce runs the resumable op inline: it counts once, under
+/// its comm.coll.* instruments, and never as an engine op (comm.op.*) or an
+/// owner/background retirement (comm.ops.*).
+TEST_F(ObsMetrics, BlockingAllreduceCountsOnlyAsACollective) {
+  const int p = 4;
+  comm::World world(p);
+  world.run([](comm::Comm& comm) {
+    double x = comm.rank();
+    comm::allreduce(comm, &x, 1, comm::ReduceOp::kSum);
+    EXPECT_DOUBLE_EQ(x, 6.0);
+  });
+  const Snapshot snap = snapshot();
+  EXPECT_EQ(snap.counter_total("comm.coll.allreduce-rd.count"),
+            static_cast<std::uint64_t>(p));
+  for (const auto& [rank, counters] : snap.counters) {
+    for (const auto& [name, value] : counters) {
+      const bool engine_counter = name.rfind("comm.op.", 0) == 0 ||
+                                  name.rfind("comm.ops.", 0) == 0;
+      EXPECT_FALSE(engine_counter && value != 0)
+          << name << " = " << value << " on rank " << rank;
+    }
+  }
 }
 
 }  // namespace

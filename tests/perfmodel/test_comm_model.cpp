@@ -27,15 +27,15 @@ TEST(CommModel, SingleRankCollectivesAreFree) {
 
 TEST(CommModel, RecursiveDoublingLatencyScalesWithLogP) {
   CommModel comm(MachineModel::lassen());
-  const double t16 = comm.allreduce_recursive_doubling(16, 4);
-  const double t256 = comm.allreduce_recursive_doubling(256, 4);
+  const double t16 = comm.recursive_doubling_allreduce(16, 4);
+  const double t256 = comm.recursive_doubling_allreduce(256, 4);
   EXPECT_NEAR(t256 / t16, 2.0, 0.01);  // 8 steps vs 4 steps
 }
 
 TEST(CommModel, RingBandwidthTermDominatesLargeMessages) {
   CommModel comm(MachineModel::lassen());
   const double bytes = 100e6;
-  const double t = comm.allreduce_ring(8, bytes);
+  const double t = comm.ring_allreduce(8, bytes);
   // 2 (p−1)/p n β plus small latency/γ terms.
   const double bw_term = 2.0 * (7.0 / 8.0) * bytes / 10e9;
   EXPECT_GT(t, bw_term);
@@ -48,15 +48,15 @@ TEST(CommModel, AlgorithmSelectionCrossover) {
   // comm/collectives.hpp.
   CommModel comm(MachineModel::lassen());
   const int p = 64;
-  EXPECT_LE(comm.allreduce(p, 64), comm.allreduce_ring(p, 64));
+  EXPECT_LE(comm.allreduce(p, 64), comm.ring_allreduce(p, 64));
   EXPECT_LE(comm.allreduce(p, 64e6),
-            comm.allreduce_recursive_doubling(p, 64e6));
+            comm.recursive_doubling_allreduce(p, 64e6));
 }
 
 TEST(CommModel, HierarchicalBeatsFlatRingAcrossManyNodes) {
   CommModel comm(MachineModel::lassen());
-  const double flat = comm.allreduce_ring(512, 20e6);
-  const double hier = comm.allreduce_hierarchical(512, 20e6);
+  const double flat = comm.ring_allreduce(512, 20e6);
+  const double hier = comm.hierarchical_allreduce(512, 20e6);
   EXPECT_LT(hier, flat);
 }
 
