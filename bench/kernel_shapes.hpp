@@ -27,16 +27,11 @@ inline constexpr LayerArgs kRes3b{"res3b", 4, 512, 28, 28, 128, 1, 1};
 inline constexpr LayerArgs kMesh11{"mesh_conv1_1", 1, 18, 256, 256, 32, 5, 2};
 inline constexpr LayerArgs kMesh61{"mesh_conv6_1", 1, 96, 64, 64, 32, 3, 2};
 /// res3b_branch2b: the 3×3 stride-1 body of the same block — the
-/// winograd-eligible geometry the conv planner's fast path targets.
+/// winograd-eligible geometry.
 inline constexpr LayerArgs kRes3x3{"res3b_3x3", 4, 128, 28, 28, 128, 3, 1};
 
 /// The geometries the calibration table aggregates over.
 inline constexpr LayerArgs kKernelShapes[] = {kConv1, kRes3b, kMesh11, kMesh61};
-
-/// The geometries bench/conv_planner plans and gates (BENCH_train.json):
-/// the calibration set plus the 3×3 winograd candidate.
-inline constexpr LayerArgs kPlannerShapes[] = {kConv1, kRes3b, kRes3x3,
-                                               kMesh11, kMesh61};
 
 inline kernels::ConvParams params_of(const LayerArgs& a) {
   return kernels::ConvParams{a.k, a.k, a.s, a.s, a.k / 2, a.k / 2};

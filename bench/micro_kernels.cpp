@@ -160,7 +160,7 @@ BENCHMARK_CAPTURE(bench_forward, conv1_direct, kConv1, ConvAlgo::kDirect);
 BENCHMARK_CAPTURE(bench_forward, conv1_im2col, kConv1, ConvAlgo::kIm2col);
 BENCHMARK_CAPTURE(bench_forward, res3b_direct, kRes3b, ConvAlgo::kDirect);
 BENCHMARK_CAPTURE(bench_forward, res3b_im2col, kRes3b, ConvAlgo::kIm2col);
-// The planner's pack-free GEMM family (1×1/s1 layers): im2col minus the pack.
+// kAuto's pack-free GEMM family (1×1/s1 layers): im2col minus the pack.
 BENCHMARK_CAPTURE(bench_forward, res3b_gemm_strips, kRes3b,
                   ConvAlgo::kGemmStrips);
 // Winograd F(2×2,3×3) vs the GEMM lowering on the 3×3 residual layer.

@@ -12,9 +12,7 @@
 //     impossible without spatial parallelism.
 #include <cstdio>
 
-#include "kernels/conv.hpp"
 #include "models/models.hpp"
-#include "perf/conv_planner.hpp"
 #include "perf/strategy_opt.hpp"
 
 using namespace distconv;
@@ -89,42 +87,6 @@ void channel_advisory(const char* name, const core::NetworkSpec& spec,
   std::printf("\n");
 }
 
-/// Intra-rank companion to the inter-rank strategy tables: what the conv
-/// planner would run each paper layer with, and why (model prices per
-/// candidate family). Purely introspective — nothing is executed.
-void conv_plan_report() {
-  using kernels::ConvParams;
-  using kernels::ConvPass;
-  std::printf("=== conv planner picks (model-priced, fwd pass) ===\n");
-  struct Shape {
-    const char* name;
-    std::int64_t c, f;
-    ConvParams p;
-  };
-  const Shape shapes[] = {
-      {"conv1 7x7/s2", 3, 64, ConvParams{7, 7, 2, 2, 3, 3}},
-      {"res3b 1x1", 512, 128, ConvParams{1, 1, 1, 1, 0, 0}},
-      {"res3b 3x3", 128, 128, ConvParams{3, 3, 1, 1, 1, 1}},
-      {"mesh conv6_1 3x3", 128, 64, ConvParams{3, 3, 1, 1, 1, 1}},
-  };
-  for (const auto& s : shapes) {
-    perf::ConvPlanKey key;
-    key.pass = ConvPass::kForward;
-    key.c = s.c;
-    key.f = s.f;
-    key.p = s.p;
-    std::printf("  %-18s", s.name);
-    for (const auto& cand : perf::enumerate_conv_candidates(key)) {
-      std::printf("  %s=%.3fms", kernels::conv_algo_name(cand.plan.algo),
-                  1e3 * cand.model_seconds);
-    }
-    const kernels::ConvPlan plan =
-        perf::conv_plan_for(key.pass, key.p, key.c, key.f);
-    std::printf("  -> %s\n", kernels::conv_algo_name(plan.algo));
-  }
-  std::printf("\n");
-}
-
 int main() {
   // Strong-scaling regime: few samples, many GPUs.
   explore("mesh 1K model, minibatch 4", models::make_mesh_model_1k(4), 32);
@@ -137,7 +99,5 @@ int main() {
   explore("ResNet-50, minibatch 256", models::make_resnet50(256), 8);
   // Where would the paper's future-work decomposition pay off?
   channel_advisory("ResNet-50, minibatch 4", models::make_resnet50(4), 16);
-  // And one level down: the intra-rank algorithm choice per conv layer.
-  conv_plan_report();
   return 0;
 }

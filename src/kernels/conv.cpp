@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "kernels/gemm.hpp"
-#include "perf/conv_planner.hpp"
 #include "support/error.hpp"
 #include "support/intmath.hpp"
 #include "support/parallel.hpp"
@@ -22,10 +21,11 @@ void check_weights(const Tensor<float>& w, const ConvParams& p) {
 }
 
 /// The GEMM-backed paths tile their lowering buffers into strips of at most
-/// this many floats (~2 MiB) by default, so buffer size is bounded
-/// regardless of the range; the forward/backward-data strips only split the
-/// GEMM's n dimension, which leaves every output element's accumulation
-/// chain unchanged (and makes the strip budget a free planner knob there).
+/// this many floats (~2 MiB), so buffer size is bounded regardless of the
+/// range; the forward/backward-data strips only split the GEMM's n
+/// dimension, which leaves every output element's accumulation chain
+/// unchanged. Backward-filter strips split the k dimension, so there the
+/// strip height is part of dw's accumulation chain.
 constexpr std::int64_t kLoweringStripElems = 1 << 19;
 
 /// kAuto sentinel = "no override". Seeded lazily from DC_CONV_ALGO.
@@ -103,31 +103,30 @@ ConvAlgo resolve_conv_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
   // traffic, where the direct stencil — which touches x only once per
   // (c, a, b) — wins.
   const std::int64_t depth = c * p.kh * p.kw;
-  return (depth >= 32 && f >= 8) ? ConvAlgo::kIm2col : ConvAlgo::kDirect;
+  if (depth < 32 || f < 8) return ConvAlgo::kDirect;
+  // A 1×1 stride-1 unpadded layer needs no lowering at all.
+  return conv_algo_applicable(ConvAlgo::kGemmStrips, ConvPass::kForward, p)
+             ? ConvAlgo::kGemmStrips
+             : ConvAlgo::kIm2col;
 }
 
 namespace {
 
-/// Resolve a caller-supplied algo into a full plan. Explicit algorithms (and
-/// the DC_CONV_ALGO escape hatch, when the shape supports it) get a default
-/// plan for that family; kAuto consults the planner, which falls back to
-/// resolve_conv_algo when DC_CONV_PLAN=off.
-ConvPlan resolve_plan(ConvAlgo algo, ConvPass pass, const ConvParams& p,
-                      std::int64_t c, std::int64_t f) {
+/// The algorithm a dispatch runs. Explicit algorithms must be applicable to
+/// the pass/shape; kAuto takes the DC_CONV_ALGO escape hatch when the shape
+/// supports it, else the layer-constant rule.
+ConvAlgo dispatch_algo(ConvAlgo algo, ConvPass pass, const ConvParams& p,
+                       std::int64_t c, std::int64_t f) {
   if (algo == ConvAlgo::kAuto) {
     const ConvAlgo forced = conv_algo_override();
     if (forced != ConvAlgo::kAuto && conv_algo_applicable(forced, pass, p)) {
-      ConvPlan plan;
-      plan.algo = forced;
-      return plan;
+      return forced;
     }
-    return perf::conv_plan_for(pass, p, c, f);
+    return resolve_conv_algo(algo, p, c, f);
   }
   DC_REQUIRE(conv_algo_applicable(algo, pass, p), "algorithm ",
              conv_algo_name(algo), " cannot execute this pass/shape");
-  ConvPlan plan;
-  plan.algo = algo;
-  return plan;
+  return algo;
 }
 
 }  // namespace
@@ -282,28 +281,32 @@ void conv2d_forward_direct(const Tensor<float>& x, Origin2 xo,
 }
 
 /// Strip height for a lowering buffer of depth `depth` floats per output
-/// position over rows of width `rw`, within a budget of `elems` floats
-/// (0 = the default). Depends only on shapes and the plan, never on the
-/// thread budget.
-std::int64_t lowering_strip_height(std::int64_t depth, std::int64_t rw,
-                                   std::int64_t elems = 0) {
-  if (elems <= 0) elems = kLoweringStripElems;
-  const std::int64_t target_rows = std::max<std::int64_t>(1, elems / depth);
+/// position over rows of width `rw`, within kLoweringStripElems. Depends
+/// only on shapes, never on the range height or the thread budget.
+std::int64_t lowering_strip_height(std::int64_t depth, std::int64_t rw) {
+  const std::int64_t target_rows =
+      std::max<std::int64_t>(1, kLoweringStripElems / depth);
   return std::max<std::int64_t>(1, target_rows / std::max<std::int64_t>(1, rw));
+}
+
+/// Output positions a strip buffer holds for range `r` under strip height
+/// `hb`: one full strip, or only what the range covers when it is shorter.
+std::int64_t strip_capacity(const Range2& r, std::int64_t hb) {
+  return std::min(hb, r.h1 - r.h0) * (r.w1 - r.w0);
 }
 
 void conv2d_forward_im2col(const Tensor<float>& x, Origin2 xo,
                            const Tensor<float>& w, Tensor<float>& y, Origin2 yo,
-                           const ConvParams& p, const Range2& r,
-                           std::int64_t strip_elems) {
+                           const ConvParams& p, const Range2& r) {
   const std::int64_t N = y.shape().n;
   const std::int64_t F = w.shape().n;
   const std::int64_t C = w.shape().c;
   const std::int64_t ckk = C * p.kh * p.kw;
   const std::int64_t rw = r.w1 - r.w0;
-  const std::int64_t hb = lowering_strip_height(ckk, rw, strip_elems);
-  std::vector<float> col(static_cast<std::size_t>(ckk) * hb * rw);
-  std::vector<float> out(static_cast<std::size_t>(F) * hb * rw);
+  const std::int64_t hb = lowering_strip_height(ckk, rw);
+  const std::int64_t cap = strip_capacity(r, hb);
+  std::vector<float> col(static_cast<std::size_t>(ckk * cap));
+  std::vector<float> out(static_cast<std::size_t>(F * cap));
   const auto& yst = y.strides();
   for (std::int64_t k = 0; k < N; ++k) {
     for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
@@ -343,8 +346,7 @@ bool dense_planes(const Tensor<float>& t, Origin2 to, const Range2& r) {
 /// back to packing, which is exactly the im2col path.
 void conv2d_forward_gemm_strips(const Tensor<float>& x, Origin2 xo,
                                 const Tensor<float>& w, Tensor<float>& y,
-                                Origin2 yo, const ConvParams& p, const Range2& r,
-                                std::int64_t strip_elems) {
+                                Origin2 yo, const ConvParams& p, const Range2& r) {
   const std::int64_t N = y.shape().n;
   const std::int64_t F = w.shape().n;
   const std::int64_t C = w.shape().c;
@@ -353,10 +355,11 @@ void conv2d_forward_gemm_strips(const Tensor<float>& x, Origin2 xo,
   const auto& yst = y.strides();
   const bool x_dense = dense_planes(x, xo, r);
   const bool y_dense = dense_planes(y, yo, r);
-  const std::int64_t hb = lowering_strip_height(C, rw, strip_elems);
+  const std::int64_t hb = lowering_strip_height(C, rw);
+  const std::int64_t cap = strip_capacity(r, hb);
   std::vector<float> col, out;
-  if (!x_dense) col.resize(static_cast<std::size_t>(C) * hb * rw);
-  if (!y_dense) out.resize(static_cast<std::size_t>(F) * hb * rw);
+  if (!x_dense) col.resize(static_cast<std::size_t>(C * cap));
+  if (!y_dense) out.resize(static_cast<std::size_t>(F * cap));
   for (std::int64_t k = 0; k < N; ++k) {
     for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
       const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
@@ -431,33 +434,25 @@ void im2col(const Tensor<float>& x, Origin2 xo, std::int64_t sample,
 void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
                     Tensor<float>& y, Origin2 yo, const ConvParams& p,
                     const Range2& r, ConvAlgo algo) {
-  conv2d_forward(
-      x, xo, w, y, yo, p, r,
-      resolve_plan(algo, ConvPass::kForward, p, w.shape().c, w.shape().n));
-}
-
-void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
-                    Tensor<float>& y, Origin2 yo, const ConvParams& p,
-                    const Range2& r, const ConvPlan& plan) {
   check_weights(w, p);
   if (r.empty()) return;
   DC_REQUIRE(x.shape().n == y.shape().n, "sample count mismatch");
-  parallel::ScopedPlacement place(plan.thread_cap, plan.numa_node);
-  switch (plan.algo) {
+  switch (dispatch_algo(algo, ConvPass::kForward, p, w.shape().c,
+                        w.shape().n)) {
     case ConvAlgo::kDirect:
       conv2d_forward_direct(x, xo, w, y, yo, p, r);
       break;
     case ConvAlgo::kIm2col:
-      conv2d_forward_im2col(x, xo, w, y, yo, p, r, plan.strip_elems);
+      conv2d_forward_im2col(x, xo, w, y, yo, p, r);
       break;
     case ConvAlgo::kGemmStrips:
-      conv2d_forward_gemm_strips(x, xo, w, y, yo, p, r, plan.strip_elems);
+      conv2d_forward_gemm_strips(x, xo, w, y, yo, p, r);
       break;
     case ConvAlgo::kWinograd:
       conv2d_forward_winograd(x, xo, w, y, yo, p, r);
       break;
     case ConvAlgo::kAuto:
-      DC_FAIL("plan has an unresolved algorithm");
+      DC_FAIL("unresolved convolution algorithm");
   }
 }
 
@@ -563,8 +558,7 @@ void conv2d_backward_data_direct(const Tensor<float>& dy, Origin2 dyo,
 void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
                                const Tensor<float>& w, Tensor<float>& dx,
                                Origin2 dxo, const ConvParams& p, const Range2& r,
-                               std::int64_t out_h, std::int64_t out_w,
-                               std::int64_t strip_elems) {
+                               std::int64_t out_h, std::int64_t out_w) {
   const std::int64_t N = dx.shape().n;
   const std::int64_t F = w.shape().n;
   const std::int64_t C = w.shape().c;
@@ -575,7 +569,7 @@ void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
   const Range2 full_win = gather_window(p, r, out_h, out_w);
   const std::int64_t win_w = std::max<std::int64_t>(1, full_win.w1 - full_win.w0);
   const std::int64_t hb = std::max<std::int64_t>(
-      1, lowering_strip_height(ckk, win_w, strip_elems) * p.sh);
+      1, lowering_strip_height(ckk, win_w) * p.sh);
   std::vector<float> dyp, dcol_a, dcol_b;
   for (std::int64_t k = 0; k < N; ++k) {
     std::vector<float>* dcol = &dcol_a;
@@ -676,12 +670,10 @@ void conv2d_backward_data_gemm_strips(const Tensor<float>& dy, Origin2 dyo,
                                       const Tensor<float>& w, Tensor<float>& dx,
                                       Origin2 dxo, const ConvParams& p,
                                       const Range2& r, std::int64_t out_h,
-                                      std::int64_t out_w,
-                                      std::int64_t strip_elems) {
+                                      std::int64_t out_w) {
   if (r.h0 < 0 || r.h1 > out_h || r.w0 < 0 || r.w1 > out_w) {
     // The window would clip; keep the general path (identical results).
-    conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w,
-                              strip_elems);
+    conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
     return;
   }
   const std::int64_t N = dx.shape().n;
@@ -692,10 +684,11 @@ void conv2d_backward_data_gemm_strips(const Tensor<float>& dy, Origin2 dyo,
   const auto& dxst = dx.strides();
   const bool dy_dense = dense_planes(dy, dyo, r);
   const bool dx_dense = dense_planes(dx, dxo, r);
-  const std::int64_t hb = lowering_strip_height(C, rw, strip_elems);
+  const std::int64_t hb = lowering_strip_height(C, rw);
+  const std::int64_t cap = strip_capacity(r, hb);
   std::vector<float> dyp, dcol;
-  if (!dy_dense) dyp.resize(static_cast<std::size_t>(F) * hb * rw);
-  if (!dx_dense) dcol.resize(static_cast<std::size_t>(C) * hb * rw);
+  if (!dy_dense) dyp.resize(static_cast<std::size_t>(F * cap));
+  if (!dx_dense) dcol.resize(static_cast<std::size_t>(C * cap));
   for (std::int64_t k = 0; k < N; ++k) {
     for (std::int64_t g0 = r.h0; g0 < r.h1; g0 += hb) {
       const Range2 rs{g0, std::min(r.h1, g0 + hb), r.w0, r.w1};
@@ -740,34 +733,23 @@ void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
                           const Tensor<float>& w, Tensor<float>& dx, Origin2 dxo,
                           const ConvParams& p, const Range2& r, std::int64_t out_h,
                           std::int64_t out_w, ConvAlgo algo) {
-  conv2d_backward_data(dy, dyo, w, dx, dxo, p, r, out_h, out_w,
-                       resolve_plan(algo, ConvPass::kBackwardData, p,
-                                    w.shape().c, w.shape().n));
-}
-
-void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
-                          const Tensor<float>& w, Tensor<float>& dx, Origin2 dxo,
-                          const ConvParams& p, const Range2& r, std::int64_t out_h,
-                          std::int64_t out_w, const ConvPlan& plan) {
   check_weights(w, p);
   if (r.empty()) return;
-  parallel::ScopedPlacement place(plan.thread_cap, plan.numa_node);
-  switch (plan.algo) {
+  switch (dispatch_algo(algo, ConvPass::kBackwardData, p, w.shape().c,
+                        w.shape().n)) {
     case ConvAlgo::kDirect:
       conv2d_backward_data_direct(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
       break;
     case ConvAlgo::kIm2col:
-      conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w,
-                                plan.strip_elems);
+      conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
       break;
     case ConvAlgo::kGemmStrips:
-      conv2d_backward_data_gemm_strips(dy, dyo, w, dx, dxo, p, r, out_h, out_w,
-                                       plan.strip_elems);
+      conv2d_backward_data_gemm_strips(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
       break;
     case ConvAlgo::kWinograd:
       DC_FAIL("winograd has no backward-data kernel");
     case ConvAlgo::kAuto:
-      DC_FAIL("plan has an unresolved algorithm");
+      DC_FAIL("unresolved convolution algorithm");
   }
 }
 
@@ -833,8 +815,9 @@ void conv2d_backward_filter_gemm(const Tensor<float>& x, Origin2 xo,
   const std::int64_t ckk = C * p.kh * p.kw;
   const std::int64_t rw = r.w1 - r.w0;
   const std::int64_t hb = lowering_strip_height(ckk, rw);
-  std::vector<float> col(static_cast<std::size_t>(ckk) * hb * rw);
-  std::vector<float> dyp(static_cast<std::size_t>(F) * hb * rw);
+  const std::int64_t cap = strip_capacity(r, hb);
+  std::vector<float> col(static_cast<std::size_t>(ckk * cap));
+  std::vector<float> dyp(static_cast<std::size_t>(F * cap));
   for (std::int64_t k = 0; k < N; ++k) {
     for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
       const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
@@ -849,10 +832,10 @@ void conv2d_backward_filter_gemm(const Tensor<float>& x, Origin2 xo,
 }
 
 /// Zero-copy backward filter for 1×1 stride-1 unpadded layers: the strips
-/// split the GEMM's *k* dimension, so the strip height stays at the fixed
-/// default (it is part of dw's accumulation chain) and only the packs are
-/// elided — dy and x planes feed the GEMM in place when dense. Bitwise
-/// identical to kIm2col: same strip sequence, same operand values.
+/// split the GEMM's *k* dimension (the strip height is part of dw's
+/// accumulation chain) and only the packs are elided — dy and x planes feed
+/// the GEMM in place when dense. Bitwise identical to kIm2col: same strip
+/// sequence, same operand values.
 void conv2d_backward_filter_gemm_strips(const Tensor<float>& x, Origin2 xo,
                                         const Tensor<float>& dy, Origin2 dyo,
                                         Tensor<float>& dw, const ConvParams& p,
@@ -866,9 +849,10 @@ void conv2d_backward_filter_gemm_strips(const Tensor<float>& x, Origin2 xo,
   const bool x_dense = dense_planes(x, xo, r);
   const bool dy_dense = dense_planes(dy, dyo, r);
   const std::int64_t hb = lowering_strip_height(C, rw);
+  const std::int64_t cap = strip_capacity(r, hb);
   std::vector<float> col, dyp;
-  if (!x_dense) col.resize(static_cast<std::size_t>(C) * hb * rw);
-  if (!dy_dense) dyp.resize(static_cast<std::size_t>(F) * hb * rw);
+  if (!x_dense) col.resize(static_cast<std::size_t>(C * cap));
+  if (!dy_dense) dyp.resize(static_cast<std::size_t>(F * cap));
   for (std::int64_t k = 0; k < N; ++k) {
     for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
       const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
@@ -905,20 +889,12 @@ void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
                             const Tensor<float>& dy, Origin2 dyo, Tensor<float>& dw,
                             const ConvParams& p, const Range2& r, bool accumulate,
                             ConvAlgo algo) {
-  conv2d_backward_filter(x, xo, dy, dyo, dw, p, r, accumulate,
-                         resolve_plan(algo, ConvPass::kBackwardFilter, p,
-                                      dw.shape().c, dw.shape().n));
-}
-
-void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
-                            const Tensor<float>& dy, Origin2 dyo, Tensor<float>& dw,
-                            const ConvParams& p, const Range2& r, bool accumulate,
-                            const ConvPlan& plan) {
   check_weights(dw, p);
+  const ConvAlgo run = dispatch_algo(algo, ConvPass::kBackwardFilter, p,
+                                     dw.shape().c, dw.shape().n);
   if (!accumulate) dw.zero();
   if (r.empty()) return;
-  parallel::ScopedPlacement place(plan.thread_cap, plan.numa_node);
-  switch (plan.algo) {
+  switch (run) {
     case ConvAlgo::kDirect:
       conv2d_backward_filter_direct(x, xo, dy, dyo, dw, p, r);
       break;
@@ -931,7 +907,7 @@ void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
     case ConvAlgo::kWinograd:
       DC_FAIL("winograd has no backward-filter kernel");
     case ConvAlgo::kAuto:
-      DC_FAIL("plan has an unresolved algorithm");
+      DC_FAIL("unresolved convolution algorithm");
   }
 }
 

@@ -57,32 +57,15 @@ enum class ConvAlgo {
   kWinograd,    ///< F(2×2, 3×3) fast path for 3×3 stride-1 layers (forward
                 ///< only; tolerance-mode exactness — the accumulation chain
                 ///< differs from direct/im2col)
-  kAuto,        ///< planner-resolved (DC_CONV_PLAN), the cuDNN-autotune
-                ///< stand-in; falls back to the PR-1 constants heuristic
-                ///< when the planner is off
+  kAuto,        ///< resolve_conv_algo's layer-constant rule, the
+                ///< cuDNN-heuristic stand-in
 };
 
-/// Which convolution kernel a plan is for; plans are keyed per pass because
-/// the three passes have different GEMM shapes and packing traffic.
+/// Which convolution kernel a dispatch runs: applicability differs per
+/// pass (Winograd has no backward kernels).
 enum class ConvPass { kForward, kBackwardData, kBackwardFilter };
 
-/// A fully resolved per-(layer, pass) execution plan. The planner
-/// (src/perf/conv_planner) produces these; kernels consume them. Knobs
-/// beyond `algo` never change results: strips only split GEMM n-dimensions
-/// whose accumulation chains are per-element fixed, and placement hints
-/// only cap/home the thread budget (covered by the determinism contract).
-struct ConvPlan {
-  ConvAlgo algo = ConvAlgo::kDirect;
-  /// Lowering-strip budget in floats (0 = the default ~2 MiB). Applied to
-  /// the forward and backward-data strips (n-splits); backward-filter always
-  /// keeps the fixed default — its strips split the GEMM k dimension, where
-  /// the strip height is part of the accumulation chain.
-  std::int64_t strip_elems = 0;
-  int thread_cap = 0;  ///< parallel budget cap (0 = none)
-  int numa_node = -1;  ///< preferred NUMA node (-1 = any)
-};
-
-/// Short stable names for cache files, env knobs and bench dumps
+/// Short stable names for env knobs and bench dumps
 /// ("direct", "im2col", "gemm-strips", "winograd", "auto").
 const char* conv_algo_name(ConvAlgo algo);
 /// Inverse of conv_algo_name; false when `s` names no algorithm.
@@ -95,19 +78,20 @@ bool conv_algo_applicable(ConvAlgo algo, ConvPass pass, const ConvParams& p);
 
 /// Debugging escape hatch: force every dispatch whose shape supports it to
 /// one family. Seeded from DC_CONV_ALGO at first use; tests override it
-/// programmatically (kAuto restores planner resolution). Shapes the forced
-/// family cannot execute keep their planned algorithm.
+/// programmatically (kAuto restores the rule). Shapes the forced family
+/// cannot execute keep the rule's algorithm.
 void set_conv_algo_override(ConvAlgo algo);
 ConvAlgo conv_algo_override();
 
-/// Resolve kAuto for a layer with the PR-1 constants heuristic. Depends only
-/// on layer constants (channels, filters, kernel) — never on the local
-/// range — so every rank of a distributed run picks the same algorithm and
-/// results stay bitwise reproducible across decompositions. The GEMM path
-/// wins once the contraction depth C·Kh·Kw amortizes the im2col packing
-/// traffic (each packed element is reused F times); the lowering buffer
-/// itself is tiled to a fixed size, so it does not enter the decision.
-/// This is the planner's fallback (DC_CONV_PLAN=off) and its baseline.
+/// Resolve kAuto for a layer. Depends only on layer constants (channels,
+/// filters, kernel, stride, padding) — never on the local range or the
+/// thread budget — so every rank of a distributed run picks the same
+/// algorithm and results stay bitwise reproducible across decompositions.
+/// The GEMM path wins once the contraction depth C·Kh·Kw amortizes the
+/// im2col packing traffic (each packed element is reused F times); the
+/// lowering buffer itself is tiled to a fixed size, so it does not enter
+/// the decision. Within the GEMM class, 1×1 stride-1 unpadded layers take
+/// the pack-free kGemmStrips, which is bitwise equal to kIm2col.
 ConvAlgo resolve_conv_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
                            std::int64_t f);
 
@@ -156,27 +140,6 @@ void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
                             const ConvParams& p, const Range2& out_range,
                             bool accumulate = false,
                             ConvAlgo algo = ConvAlgo::kAuto);
-
-// --- explicit-plan entry points --------------------------------------------
-// Execute one pass under a fully specified plan, bypassing resolution. The
-// planner's measure mode times candidates through these, and tests pin
-// specific (algo, strip, placement) combinations. The plan's algo must be
-// applicable to the pass/shape.
-
-void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
-                    Tensor<float>& y, Origin2 yo, const ConvParams& p,
-                    const Range2& out_range, const ConvPlan& plan);
-
-void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
-                          const Tensor<float>& w, Tensor<float>& dx, Origin2 dxo,
-                          const ConvParams& p, const Range2& in_range,
-                          std::int64_t out_h, std::int64_t out_w,
-                          const ConvPlan& plan);
-
-void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
-                            const Tensor<float>& dy, Origin2 dyo, Tensor<float>& dw,
-                            const ConvParams& p, const Range2& out_range,
-                            bool accumulate, const ConvPlan& plan);
 
 // --- im2col helpers (exposed for tests/benchmarks) --------------------------
 

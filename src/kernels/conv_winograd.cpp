@@ -13,7 +13,8 @@
 //
 // Exactness: tolerance-mode only. The transforms regroup the 3×3 stencil
 // arithmetically, so outputs differ from direct/im2col in the last ulps —
-// the planner only proposes this family when DC_CONV_WINOGRAD=1 opts in.
+// kAuto never picks this family; it runs only when asked for explicitly
+// (ConvAlgo::kWinograd or DC_CONV_ALGO=winograd).
 //
 // Edges: tile grids round the range up to even extents. Out-of-buffer input
 // reads zero-fill and out-of-range outputs are dropped; the algebra confines

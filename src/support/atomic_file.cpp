@@ -11,8 +11,8 @@ namespace distconv::support {
 
 void write_file_atomic(const std::string& path, const void* data, std::size_t n) {
   // The scratch name carries the writer's pid: concurrent processes
-  // publishing to the same path (e.g. a shared conv plan cache under a
-  // parallel test run) must not share a tmp file, or one writer's rename
+  // publishing to the same path (e.g. a shared checkpoint under a parallel
+  // test run) must not share a tmp file, or one writer's rename
   // steals the other's data mid-flight and the loser's rename fails ENOENT.
   // Last rename wins; every rename sees its own complete tmp file.
   const std::string tmp =

@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "support/intmath.hpp"
 
@@ -26,13 +19,6 @@ namespace {
 std::atomic<int> g_override{0};
 std::atomic<int> g_rank_threads{1};
 std::atomic<ProgressHook> g_progress_hook{nullptr};
-
-// Placement hints are per-thread: the conv planner scopes them around a
-// single kernel dispatch, so unrelated callers (comm progress thread, other
-// rank threads) never observe a foreign plan's cap.
-thread_local int tl_place_cap = 0;    // 0 = no cap
-thread_local int tl_place_node = -1;  // -1 = any node
-thread_local int tl_worker_node = -1;  // node id this pool worker is pinned to
 
 void fire_progress_hook() {
   if (ProgressHook hook = g_progress_hook.load(std::memory_order_acquire)) {
@@ -55,74 +41,6 @@ int hardware_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-/// Parse a sysfs cpulist ("0-7,16-23") into CPU ids.
-void parse_cpulist(const std::string& s, std::vector<int>& out) {
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && !std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
-    if (i >= s.size()) break;
-    int lo = 0;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-      lo = lo * 10 + (s[i++] - '0');
-    }
-    int hi = lo;
-    if (i < s.size() && s[i] == '-') {
-      ++i;
-      hi = 0;
-      while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-        hi = hi * 10 + (s[i++] - '0');
-      }
-    }
-    for (int cpu = lo; cpu <= hi && cpu - lo < 4096; ++cpu) out.push_back(cpu);
-  }
-}
-
-NumaTopology scan_numa_topology() {
-  NumaTopology topo;
-#if defined(__linux__)
-  for (int id = 0; id < 64; ++id) {
-    std::ifstream in("/sys/devices/system/node/node" + std::to_string(id) +
-                     "/cpulist");
-    if (!in) continue;  // offline nodes leave holes in the numbering
-    std::string list;
-    std::getline(in, list);
-    NumaNode node;
-    node.id = id;
-    parse_cpulist(list, node.cpus);
-    if (!node.cpus.empty()) topo.nodes.push_back(std::move(node));
-  }
-#endif
-  if (topo.nodes.empty()) {
-    NumaNode node;
-    node.id = 0;
-    for (int cpu = 0; cpu < hardware_threads(); ++cpu) node.cpus.push_back(cpu);
-    topo.nodes.push_back(std::move(node));
-  }
-  return topo;
-}
-
-const NumaNode* find_node(int id) {
-  for (const NumaNode& n : numa_topology().nodes) {
-    if (n.id == id) return &n;
-  }
-  return nullptr;
-}
-
-void pin_to_node(int id) {
-#if defined(__linux__)
-  const NumaNode* node = find_node(id);
-  if (node == nullptr) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (int cpu : node->cpus) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &set);
-  }
-  sched_setaffinity(0, sizeof(set), &set);
-#else
-  (void)id;
-#endif
-}
-
 /// One parallel_for invocation. Chunks are claimed by index from an atomic
 /// counter; the job is complete when every claimed chunk has run. Shared
 /// ownership (queue + workers + caller) keeps the struct alive until the
@@ -133,15 +51,6 @@ struct Job {
   std::int64_t end = 0;
   std::int64_t num_chunks = 0;
   const ChunkFn* fn = nullptr;
-  int node = -1;  ///< preferred NUMA node (-1 = any); only set when pinning
-
-  /// Whether a worker pinned to `worker_node` should pick this job up.
-  /// Unpinned workers (-1) take anything; node-hinted jobs are skipped by
-  /// workers on other nodes. The submitting caller always participates, so a
-  /// node-hinted job completes even if every matching worker is busy.
-  bool wants(int worker_node) const {
-    return node < 0 || worker_node < 0 || node == worker_node;
-  }
 
   std::atomic<std::int64_t> next{0};
   std::atomic<std::int64_t> done{0};
@@ -197,14 +106,7 @@ class Pool {
     n = std::min(n, 4 * hardware_threads() + 64);  // oversubscription backstop
     std::lock_guard<std::mutex> lock(m_);
     while (static_cast<int>(workers_.size()) < n) {
-      // DC_NUMA_PIN=1 pins workers round-robin across the scanned nodes so a
-      // node-hinted job lands on threads whose pages and caches are local.
-      int node = -1;
-      if (numa_pinning_enabled()) {
-        const NumaTopology& topo = numa_topology();
-        node = topo.nodes[workers_.size() % topo.nodes.size()].id;
-      }
-      workers_.emplace_back([this, node] { worker_loop(node); });
+      workers_.emplace_back([this] { worker_loop(); });
     }
   }
 
@@ -235,17 +137,14 @@ class Pool {
     for (auto& t : workers_) t.join();
   }
 
-  void worker_loop(int node) {
-    tl_worker_node = node;
-    if (node >= 0) pin_to_node(node);
+  void worker_loop() {
     for (;;) {
       std::shared_ptr<Job> job;
       {
         std::unique_lock<std::mutex> lock(m_);
-        cv_.wait(lock,
-                 [&] { return stop_ || pick_job_locked(node) != nullptr; });
+        cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
         if (stop_) return;
-        job = pick_job_locked(node);
+        job = queue_.front();
       }
       if (!job->run_one()) {
         // Exhausted: retire it from the queue if still advertised.
@@ -254,15 +153,6 @@ class Pool {
         if (it != queue_.end()) queue_.erase(it);
       }
     }
-  }
-
-  /// First queued job this worker should service (FIFO among compatible
-  /// jobs). Must be called with m_ held.
-  std::shared_ptr<Job> pick_job_locked(int node) {
-    for (const auto& j : queue_) {
-      if (j->wants(node)) return j;
-    }
-    return nullptr;
   }
 
   std::mutex m_;
@@ -286,14 +176,6 @@ int num_threads() {
         std::max(1, g_rank_threads.load(std::memory_order_relaxed));
     n = std::max(1, hardware_threads() / ranks);
   }
-  // Placement hints only shrink the budget (and so only move chunk
-  // boundaries, which the determinism contract already covers).
-  if (tl_place_cap > 0) n = std::min(n, tl_place_cap);
-  if (tl_place_node >= 0) {
-    if (const NumaNode* node = find_node(tl_place_node)) {
-      n = std::min(n, static_cast<int>(node->cpus.size()));
-    }
-  }
   return std::max(1, n);
 }
 
@@ -308,45 +190,6 @@ void set_rank_threads(int n) {
 void set_progress_hook(ProgressHook hook) {
   g_progress_hook.store(hook, std::memory_order_release);
 }
-
-int NumaTopology::cpus_per_node() const {
-  int cpus = hardware_threads();
-  for (const NumaNode& n : nodes) {
-    cpus = std::min(cpus, static_cast<int>(n.cpus.size()));
-  }
-  return std::max(1, cpus);
-}
-
-const NumaTopology& numa_topology() {
-  static const NumaTopology topo = scan_numa_topology();
-  return topo;
-}
-
-bool numa_pinning_enabled() {
-#if defined(__linux__)
-  static const bool enabled = [] {
-    const char* s = std::getenv("DC_NUMA_PIN");
-    return s != nullptr && s[0] == '1';
-  }();
-  return enabled;
-#else
-  return false;
-#endif
-}
-
-ScopedPlacement::ScopedPlacement(int thread_cap, int numa_node)
-    : prev_cap_(tl_place_cap), prev_node_(tl_place_node) {
-  tl_place_cap = thread_cap > 0 ? thread_cap : 0;
-  tl_place_node = find_node(numa_node) != nullptr ? numa_node : -1;
-}
-
-ScopedPlacement::~ScopedPlacement() {
-  tl_place_cap = prev_cap_;
-  tl_place_node = prev_node_;
-}
-
-int placement_thread_cap() { return tl_place_cap; }
-int placement_numa_node() { return tl_place_node; }
 
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   const ChunkFn& fn) {
@@ -366,9 +209,6 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
   job->chunk = chunk;
   job->num_chunks = num_chunks;
   job->fn = &fn;
-  // Node hints only select among workers when pinning gave workers a home
-  // node; otherwise any worker may help and the hint is budget-only.
-  if (numa_pinning_enabled()) job->node = tl_place_node;
   Pool& pool = Pool::instance();
   // Size the pool for aggregate demand: every concurrent rank thread may
   // run a (budget-1)-worker job of its own, and workers drain the job FIFO,

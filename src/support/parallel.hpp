@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace distconv::parallel {
 
@@ -59,59 +58,6 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
 
 /// Element body for parallel_for_2d: fn(i, j) with i ∈ [0, n0), j ∈ [0, n1).
 using Elem2dFn = std::function<void(std::int64_t, std::int64_t)>;
-
-// ---------------------------------------------------------------------------
-// NUMA topology + scoped placement hints (consumed by the conv planner so
-// plans can target a socket and cap their thread budget).
-// ---------------------------------------------------------------------------
-
-/// One NUMA node as reported by /sys/devices/system/node/node<N>/cpulist.
-struct NumaNode {
-  int id = 0;
-  std::vector<int> cpus;
-};
-
-/// Host NUMA topology, scanned once from sysfs. On hosts without the sysfs
-/// tree (or non-Linux platforms) this degrades to a single synthetic node
-/// holding every hardware thread, so callers never special-case "no NUMA".
-struct NumaTopology {
-  std::vector<NumaNode> nodes;
-  int node_count() const { return static_cast<int>(nodes.size()); }
-  /// Smallest per-node CPU count (>= 1): the budget a single-socket plan
-  /// can rely on regardless of which node it lands on.
-  int cpus_per_node() const;
-};
-
-/// The scanned topology (cached after the first call; thread-safe).
-const NumaTopology& numa_topology();
-
-/// True when DC_NUMA_PIN=1 pinned the pool workers round-robin across NUMA
-/// nodes at spawn. Placement node hints only *select* workers when pinning
-/// is active; without pinning they still cap the thread budget but jobs run
-/// on any worker.
-bool numa_pinning_enabled();
-
-/// RAII placement hint for the calling thread: while alive, parallel_for
-/// calls issued from this thread cap their budget at `thread_cap` (0 = no
-/// cap) and — when worker pinning is active — dispatch only to workers
-/// pinned to `numa_node` (-1 = any node). Hints never change results: the
-/// determinism contract already makes kernels bit-identical for any budget,
-/// so a placement cap only moves chunk boundaries.
-class ScopedPlacement {
- public:
-  ScopedPlacement(int thread_cap, int numa_node);
-  ~ScopedPlacement();
-  ScopedPlacement(const ScopedPlacement&) = delete;
-  ScopedPlacement& operator=(const ScopedPlacement&) = delete;
-
- private:
-  int prev_cap_;
-  int prev_node_;
-};
-
-/// Current placement hint of the calling thread (0 / -1 when unhinted).
-int placement_thread_cap();
-int placement_numa_node();
 
 /// Static-chunked parallel loop over the flattened 2-D iteration space
 /// [0, n0) × [0, n1), row-major (j fastest) — the shared form of the

@@ -1,9 +1,8 @@
-// Plan-knob exactness: every knob the conv planner may turn besides the
-// algorithm family — lowering strips, thread caps, NUMA homes, and the
-// gemm-strips zero-copy upgrade — must leave results bitwise unchanged, and
-// the plans themselves must not depend on the thread budget. Winograd, the
-// one tolerance-mode family, is checked against direct within tolerance on
-// edge-heavy geometries.
+// Algorithm-family exactness: the gemm-strips zero-copy upgrade that kAuto
+// picks for 1×1 stride-1 unpadded layers must be bitwise equal to im2col,
+// on shapes that span several lowering strips and on ranges that force its
+// pack fallbacks. Winograd, the one tolerance-mode family, is checked
+// against direct within tolerance on edge-heavy geometries.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,10 +10,7 @@
 #include <vector>
 
 #include "kernels/conv.hpp"
-#include "perf/conv_planner.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
-#include "tests/support/thread_guard.hpp"
 
 namespace distconv::kernels {
 namespace {
@@ -58,140 +54,64 @@ std::vector<Range2> ranges_of(const Case& cs) {
   return {full, inner};
 }
 
+// 64 channels: a 1×1 strip holds kLoweringStripElems / 64 = 8192 positions,
+// i.e. 128 rows of 64 (132 rows of the 62-wide sub-ranges), so 200 rows
+// span two strips with a short last one on every range.
+constexpr std::int64_t kStripsH = 200, kStripsW = 64;
+
 TEST(ConvPlans, GemmStripsForwardBitwiseEqualsIm2col) {
-  Case cs = make_case(2, 64, 32, 14, 14, /*k=*/1, /*s=*/1, 7);
+  Case cs = make_case(2, 64, 32, kStripsH, kStripsW, /*k=*/1, /*s=*/1, 7);
   for (const Range2& r : ranges_of(cs)) {
-    ConvPlan im2col;
-    im2col.algo = ConvAlgo::kIm2col;
     cs.y.zero();
-    conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r, im2col);
+    conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r, ConvAlgo::kIm2col);
     Tensor<float> ref(cs.y.shape());
     std::memcpy(ref.data(), cs.y.data(),
                 static_cast<std::size_t>(cs.y.size()) * sizeof(float));
 
-    ConvPlan strips;
-    strips.algo = ConvAlgo::kGemmStrips;
-    for (std::int64_t se : {std::int64_t{1} << 17, std::int64_t{1} << 21}) {
-      strips.strip_elems = se;
-      cs.y.zero();
-      conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r, strips);
-      expect_bitwise(cs.y, ref);
-    }
+    cs.y.zero();
+    conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r,
+                   ConvAlgo::kGemmStrips);
+    expect_bitwise(cs.y, ref);
   }
 }
 
 TEST(ConvPlans, GemmStripsBackwardDataBitwiseEqualsIm2col) {
-  Case cs = make_case(2, 64, 32, 14, 14, 1, 1, 11);
+  Case cs = make_case(2, 64, 32, kStripsH, kStripsW, 1, 1, 11);
   Rng rng(13);
   cs.y.fill_uniform(rng);  // dy
-  const Range2 in_full{0, 14, 0, 14};
+  const Range2 in_full{0, kStripsH, 0, kStripsW};
   Range2 in_inner = in_full;
   in_inner.h0 = 1;
   in_inner.w0 = 2;
   for (const Range2& r : {in_full, in_inner}) {
-    ConvPlan im2col;
-    im2col.algo = ConvAlgo::kIm2col;
     cs.x.zero();
     conv2d_backward_data(cs.y, cs.yo, cs.w, cs.x, cs.xo, cs.p, r,
-                         cs.y.shape().h, cs.y.shape().w, im2col);
+                         cs.y.shape().h, cs.y.shape().w, ConvAlgo::kIm2col);
     Tensor<float> ref(cs.x.shape());
     std::memcpy(ref.data(), cs.x.data(),
                 static_cast<std::size_t>(cs.x.size()) * sizeof(float));
 
-    ConvPlan strips;
-    strips.algo = ConvAlgo::kGemmStrips;
-    strips.strip_elems = std::int64_t{1} << 17;
     cs.x.zero();
     conv2d_backward_data(cs.y, cs.yo, cs.w, cs.x, cs.xo, cs.p, r,
-                         cs.y.shape().h, cs.y.shape().w, strips);
+                         cs.y.shape().h, cs.y.shape().w, ConvAlgo::kGemmStrips);
     expect_bitwise(cs.x, ref);
   }
 }
 
 TEST(ConvPlans, GemmStripsBackwardFilterBitwiseEqualsIm2col) {
-  Case cs = make_case(2, 64, 32, 14, 14, 1, 1, 17);
+  Case cs = make_case(2, 64, 32, kStripsH, kStripsW, 1, 1, 17);
   Rng rng(19);
   cs.y.fill_uniform(rng);  // dy
   for (const Range2& r : ranges_of(cs)) {
-    ConvPlan im2col;
-    im2col.algo = ConvAlgo::kIm2col;
     Tensor<float> dw_ref(cs.w.shape());
-    dw_ref.zero();
     conv2d_backward_filter(cs.x, cs.xo, cs.y, cs.yo, dw_ref, cs.p, r,
-                           /*accumulate=*/false, im2col);
+                           /*accumulate=*/false, ConvAlgo::kIm2col);
 
-    ConvPlan strips;
-    strips.algo = ConvAlgo::kGemmStrips;
     Tensor<float> dw(cs.w.shape());
-    dw.zero();
     conv2d_backward_filter(cs.x, cs.xo, cs.y, cs.yo, dw, cs.p, r,
-                           /*accumulate=*/false, strips);
+                           /*accumulate=*/false, ConvAlgo::kGemmStrips);
     expect_bitwise(dw, dw_ref);
   }
-}
-
-TEST(ConvPlans, PlacementAndStripKnobsNeverChangeBits) {
-  // The non-algorithm knobs across both families, under a real thread pool.
-  parallel::ThreadGuard threads(4);
-  Case cs = make_case(1, 48, 24, 12, 12, /*k=*/3, /*s=*/1, 23);
-  const Range2 full{0, cs.y.shape().h, 0, cs.y.shape().w};
-  ConvPlan base;
-  base.algo = ConvAlgo::kIm2col;
-  cs.y.zero();
-  conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, full, base);
-  Tensor<float> ref(cs.y.shape());
-  std::memcpy(ref.data(), cs.y.data(),
-              static_cast<std::size_t>(cs.y.size()) * sizeof(float));
-
-  for (std::int64_t se : {std::int64_t{0}, std::int64_t{1} << 17}) {
-    for (int cap : {0, 1, 3}) {
-      ConvPlan plan = base;
-      plan.strip_elems = se;
-      plan.thread_cap = cap;
-      plan.numa_node = cap == 3 ? 0 : -1;  // a home hint rides along once
-      cs.y.zero();
-      conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, full, plan);
-      expect_bitwise(cs.y, ref);
-    }
-  }
-}
-
-TEST(ConvPlans, PlansDoNotDependOnThreadBudget) {
-  // The planner prices on a canonical thread count: the same layer must get
-  // the same plan whether the pool runs 1 thread or 8.
-  perf::set_conv_plan_cache_path("");
-  perf::set_conv_plan_mode(perf::ConvPlanMode::kModel);
-  const ConvParams shapes[] = {ConvParams{1, 1, 1, 1, 0, 0},
-                               ConvParams{3, 3, 1, 1, 1, 1},
-                               ConvParams{7, 7, 2, 2, 3, 3}};
-  const ConvPass passes[] = {ConvPass::kForward, ConvPass::kBackwardData,
-                             ConvPass::kBackwardFilter};
-  std::vector<ConvPlan> at_one;
-  {
-    parallel::ThreadGuard threads(1);
-    perf::clear_conv_plan_cache();
-    for (const auto& p : shapes) {
-      for (ConvPass pass : passes) {
-        at_one.push_back(perf::conv_plan_for(pass, p, 96, 64));
-      }
-    }
-  }
-  std::size_t i = 0;
-  {
-    parallel::ThreadGuard threads(8);
-    perf::clear_conv_plan_cache();
-    for (const auto& p : shapes) {
-      for (ConvPass pass : passes) {
-        const ConvPlan plan = perf::conv_plan_for(pass, p, 96, 64);
-        EXPECT_EQ(plan.algo, at_one[i].algo) << "shape/pass " << i;
-        EXPECT_EQ(plan.strip_elems, at_one[i].strip_elems) << i;
-        EXPECT_EQ(plan.thread_cap, at_one[i].thread_cap) << i;
-        EXPECT_EQ(plan.numa_node, at_one[i].numa_node) << i;
-        ++i;
-      }
-    }
-  }
-  perf::clear_conv_plan_cache();
 }
 
 TEST(ConvPlans, WinogradWithinToleranceOfDirect) {
@@ -201,10 +121,8 @@ TEST(ConvPlans, WinogradWithinToleranceOfDirect) {
   const Range2 full{0, 13, 0, 13};
   Range2 inner{1, 12, 3, 10};
   for (const Range2& r : {full, inner}) {
-    ConvPlan direct;
-    direct.algo = ConvAlgo::kDirect;
     cs.y.zero();
-    conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r, direct);
+    conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r, ConvAlgo::kDirect);
     Tensor<float> ref(cs.y.shape());
     std::memcpy(ref.data(), cs.y.data(),
                 static_cast<std::size_t>(cs.y.size()) * sizeof(float));
@@ -219,7 +137,7 @@ TEST(ConvPlans, WinogradWithinToleranceOfDirect) {
 
 TEST(ConvPlans, AlgoOverrideWinsWhenApplicable) {
   // DC_CONV_ALGO's programmatic twin: the forced family takes every shape
-  // it can execute; inapplicable shapes keep their planned algorithm.
+  // it can execute; inapplicable shapes keep the rule's algorithm.
   Case one = make_case(1, 64, 32, 8, 8, 1, 1, 31);
   Case three = make_case(1, 8, 8, 8, 8, 3, 1, 37);
   const Range2 r1{0, one.y.shape().h, 0, one.y.shape().w};
@@ -233,14 +151,13 @@ TEST(ConvPlans, AlgoOverrideWinsWhenApplicable) {
               static_cast<std::size_t>(one.y.size()) * sizeof(float));
   set_conv_algo_override(ConvAlgo::kAuto);
 
-  ConvPlan direct;
-  direct.algo = ConvAlgo::kDirect;
   one.y.zero();
-  conv2d_forward(one.x, one.xo, one.w, one.y, one.yo, one.p, r1, direct);
+  conv2d_forward(one.x, one.xo, one.w, one.y, one.yo, one.p, r1,
+                 ConvAlgo::kDirect);
   expect_bitwise(one.y, forced);  // the override really ran direct
 
   // Forcing gemm-strips cannot apply to a 3×3 layer: it must still run
-  // (via its planned family), not die.
+  // (via the rule's family), not die.
   set_conv_algo_override(ConvAlgo::kGemmStrips);
   three.y.zero();
   conv2d_forward(three.x, three.xo, three.w, three.y, three.yo, three.p, r3);

@@ -302,8 +302,8 @@ TEST(Exactness, OverlapOnAndOffAgreeBitwise) {
 }
 
 TEST(Exactness, Im2colAlgoMatchesDirectAtModelLevel) {
-  // The planner's family knob moved from ModelOptions to the kernel-level
-  // override; forcing im2col everywhere must still match planned runs.
+  // The kernel-level family override: forcing im2col everywhere must still
+  // match runs on kAuto's rule.
   const auto a = run_once(small_conv_net, 4, [](int l, int p) {
     return Strategy::hybrid(l, p, 2);
   });

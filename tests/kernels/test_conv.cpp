@@ -329,6 +329,16 @@ TEST(ConvAlgoHeuristic, AutoResolvesOnLayerConstantsOnly) {
   EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, deep, 3, 64), ConvAlgo::kDirect);
   // Few filters: packing traffic is never amortized.
   EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, deep, 64, 4), ConvAlgo::kDirect);
+  // Deep 1×1 stride-1 unpadded: the GEMM class without the lowering.
+  const ConvParams one{1, 1, 1, 1, 0, 0};
+  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, one, 256, 64),
+            ConvAlgo::kGemmStrips);
+  // A strided 1×1 still needs the pack: im2col.
+  const ConvParams one_s2{1, 1, 2, 2, 0, 0};
+  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, one_s2, 256, 64),
+            ConvAlgo::kIm2col);
+  // A shallow 1×1 (depth 16) stays below the cutoff: direct.
+  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, one, 16, 64), ConvAlgo::kDirect);
   // Explicit choices pass through untouched.
   EXPECT_EQ(resolve_conv_algo(ConvAlgo::kDirect, deep, 64, 64), ConvAlgo::kDirect);
   EXPECT_EQ(resolve_conv_algo(ConvAlgo::kIm2col, deep, 3, 4), ConvAlgo::kIm2col);

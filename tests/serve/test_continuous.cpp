@@ -86,7 +86,7 @@ Oracle run_oracle(const std::vector<Tensor<float>>& samples, int top_k) {
       model.set_input(0, input);
       model.forward(core::Mode::kInference);
       const Tensor<float> logits = model.gather_output(model.output_layer());
-      oracle.topk.push_back(topk_softmax(logits.data(), kClasses, 3));
+      oracle.topk.push_back(topk_softmax(logits.data(), kClasses, top_k));
     }
   });
   return oracle;

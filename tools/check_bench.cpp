@@ -1,23 +1,13 @@
 // check_bench: the perf-regression gate over BENCH_*.json dumps.
 //
-// Dispatches on the dump's schema field:
-//
-//  * distconv-bench-serve-v1 (bench/serve_throughput --json) — per policy
-//    (and for the fleet section), latency percentiles may not regress past
-//    --lat-tol and throughput may not drop past --thru-tol. Correctness
-//    fields are exact: the fresh fleet run must report oracle_match=true and
-//    serve every request the baseline served.
-//
-//  * distconv-bench-train-v1 (bench/conv_planner --json) — per (shape, pass)
-//    row, the planner's GFLOP/s may not drop past --thru-tol, every
-//    exact_vs_auto bit must stay true (the planner's bitwise promise), the
-//    winograd section must stay within tolerance, and the best planner
-//    speedup over the kAuto heuristic must reach --speedup-floor — the
-//    planner has to keep beating the heuristic somewhere, not just tie it.
+// Accepts the distconv-bench-serve-v1 schema (bench/serve_throughput
+// --json): per policy (and for the fleet section), latency percentiles may
+// not regress past --lat-tol and throughput may not drop past --thru-tol.
+// Correctness fields are exact: the fresh fleet run must report
+// oracle_match=true and serve every request the baseline served.
 //
 // Usage: check_bench <baseline.json> <fresh.json>
 //                    [--lat-tol 0.20] [--thru-tol 0.15]
-//                    [--speedup-floor 1.0]
 //                    [--append-history <BENCH_history.jsonl>]
 //
 // Tolerances are fractions (0.20 = +20% latency / −20% throughput headroom);
@@ -29,7 +19,6 @@
 // never rewritten) so BENCH trajectories accumulate across PRs; failing
 // runs are recorded too, with "pass":false.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -106,14 +95,6 @@ const Value* find_policy(const Value& root, const std::string& name) {
   return nullptr;
 }
 
-const Value* find_layer(const Value& root, const std::string& shape,
-                        const std::string& pass) {
-  for (const Value& l : root.at("layers").array) {
-    if (l.at("shape").string == shape && l.at("pass").string == pass) return &l;
-  }
-  return nullptr;
-}
-
 void append_num_field(std::string& out, const char* key, double v) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), ",\"%s\":%.6g", key, v);
@@ -164,40 +145,6 @@ void append_history(const std::string& path, const Value& fresh, bool pass) {
   out << row;
 }
 
-/// Train-lane history row: per (shape, pass) planner GFLOP/s and speedup.
-void append_history_train(const std::string& path, const Value& fresh,
-                          bool pass) {
-  char date[32];
-  const std::time_t now = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&now, &tm_utc);
-  std::strftime(date, sizeof(date), "%Y-%m-%d", &tm_utc);
-
-  std::string row = "{\"date\":\"";
-  row += date;
-  row += "\",\"lane\":\"train\",\"pass\":";
-  row += pass ? "true" : "false";
-  row += ",\"layers\":{";
-  bool first = true;
-  for (const Value& l : fresh.at("layers").array) {
-    if (!first) row += ",";
-    first = false;
-    row += "\"" + l.at("shape").string + "." + l.at("pass").string +
-           "\":{\"plan_gflops\":";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", num(l, "plan_gflops"));
-    row += buf;
-    append_num_field(row, "auto_gflops", num(l, "auto_gflops"));
-    append_num_field(row, "speedup", num(l, "speedup"));
-    row += "}";
-  }
-  row += "}}\n";
-
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) throw std::runtime_error("cannot append to " + path);
-  out << row;
-}
-
 void check_serve(const Value& base, const Value& fresh, double lat_tol,
                  double thru_tol) {
   // Per-policy gates: every baseline policy must exist in the fresh dump
@@ -231,39 +178,6 @@ void check_serve(const Value& base, const Value& fresh, double lat_tol,
                   num(ff, "throughput_rps"), thru_tol);
 }
 
-void check_train(const Value& base, const Value& fresh, double thru_tol,
-                 double speedup_floor) {
-  double best_speedup = 0;
-  for (const Value& bl : base.at("layers").array) {
-    const std::string shape = bl.at("shape").string;
-    const std::string pass = bl.at("pass").string;
-    const Value* fl = find_layer(fresh, shape, pass);
-    if (fl == nullptr) {
-      throw std::runtime_error("fresh dump lost layer \"" + shape + "." +
-                               pass + "\"");
-    }
-    const std::string name = shape + "." + pass;
-    // The bitwise promise is a hard gate, not a tolerance.
-    gate_exact(name + ".exact", 1.0,
-               fl->at("exact_vs_auto").boolean ? 1.0 : 0.0);
-    gate_throughput(name + ".plan_gflops", num(bl, "plan_gflops"),
-                    num(*fl, "plan_gflops"), thru_tol);
-    best_speedup = std::max(best_speedup, num(*fl, "speedup"));
-  }
-  // The planner must keep beating the heuristic on at least one paper shape
-  // (res3b rides gemm-strips' dropped im2col pack well past this floor).
-  // The floor, not a historical value, is the reference.
-  {
-    Gate g{"best.speedup", speedup_floor, best_speedup, speedup_floor,
-           best_speedup >= speedup_floor};
-    all_pass = all_pass && g.pass;
-    gates.push_back(g);
-  }
-  const Value& fw = fresh.at("winograd");
-  gate_exact("winograd.within_tol", 1.0,
-             fw.at("within_tol").boolean ? 1.0 : 0.0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,14 +186,11 @@ int main(int argc, char** argv) {
   const char* history_path = nullptr;
   double lat_tol = 0.20;
   double thru_tol = 0.15;
-  double speedup_floor = 1.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--lat-tol") == 0 && i + 1 < argc) {
       lat_tol = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--thru-tol") == 0 && i + 1 < argc) {
       thru_tol = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--speedup-floor") == 0 && i + 1 < argc) {
-      speedup_floor = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--append-history") == 0 && i + 1 < argc) {
       history_path = argv[++i];
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
@@ -294,7 +205,7 @@ int main(int argc, char** argv) {
   if (baseline_path == nullptr || fresh_path == nullptr) {
     std::fprintf(stderr,
                  "usage: check_bench <baseline.json> <fresh.json> "
-                 "[--lat-tol F] [--thru-tol F] [--speedup-floor F] "
+                 "[--lat-tol F] [--thru-tol F] "
                  "[--append-history <file.jsonl>]\n");
     return 2;
   }
@@ -312,12 +223,6 @@ int main(int argc, char** argv) {
       check_serve(base, fresh, lat_tol, thru_tol);
       if (history_path != nullptr) {
         append_history(history_path, fresh, all_pass);
-        std::printf("appended history row to %s\n", history_path);
-      }
-    } else if (schema == "distconv-bench-train-v1") {
-      check_train(base, fresh, thru_tol, speedup_floor);
-      if (history_path != nullptr) {
-        append_history_train(history_path, fresh, all_pass);
         std::printf("appended history row to %s\n", history_path);
       }
     } else {
