@@ -1,7 +1,7 @@
 // Ablation bench for the §IV-A design choices, on the *real* execution
 // engine (thread-rank runtime, CPU kernels, scaled mesh model):
 //   * halo-exchange overlap on/off (interior/boundary decomposition),
-//   * convolution algorithm (direct vs im2col+GEMM),
+//   * convolution algorithm (direct vs implicit GEMM),
 //   * parallelization scheme (sample / spatial / hybrid) at fixed resources,
 //   * the same sweep through the analytic model, for comparison.
 #include <benchmark/benchmark.h>
@@ -49,14 +49,14 @@ void bench_overlap(benchmark::State& state) {
 
 void bench_conv_algo(benchmark::State& state) {
   const auto algo = state.range(0) == 0 ? kernels::ConvAlgo::kDirect
-                                        : kernels::ConvAlgo::kIm2col;
+                                        : kernels::ConvAlgo::kGemm;
   const auto spec = models::make_mesh_model_test(4, 64);
   const auto strategy = core::Strategy::hybrid(spec.size(), 4, 2);
   kernels::set_conv_algo_override(algo);
   for (auto _ : state) run_steps(spec, strategy, {}, 4);
   kernels::set_conv_algo_override(kernels::ConvAlgo::kAuto);
   state.SetItemsProcessed(state.iterations() * kStepsPerRun);
-  state.SetLabel(state.range(0) == 0 ? "direct" : "im2col+GEMM");
+  state.SetLabel(state.range(0) == 0 ? "direct" : "implicit GEMM");
 }
 
 void bench_parallelism(benchmark::State& state) {

@@ -26,9 +26,11 @@ inline constexpr LayerArgs kConv1{"conv1", 1, 3, 112, 112, 64, 7, 2};
 inline constexpr LayerArgs kRes3b{"res3b", 4, 512, 28, 28, 128, 1, 1};
 inline constexpr LayerArgs kMesh11{"mesh_conv1_1", 1, 18, 256, 256, 32, 5, 2};
 inline constexpr LayerArgs kMesh61{"mesh_conv6_1", 1, 96, 64, 64, 32, 3, 2};
-/// res3b_branch2b: the 3×3 stride-1 body of the same block — the
-/// winograd-eligible geometry.
+/// res3b_branch2b: the 3×3 stride-1 body of the same block.
 inline constexpr LayerArgs kRes3x3{"res3b_3x3", 4, 128, 28, 28, 128, 3, 1};
+/// A strided 1×1 projection on a 4² plane: 2² outputs per sample, so the
+/// backward-filter chains are 4 positions long.
+inline constexpr LayerArgs kSmallPlane{"small_plane", 8, 128, 4, 4, 256, 1, 2};
 
 /// The geometries the calibration table aggregates over.
 inline constexpr LayerArgs kKernelShapes[] = {kConv1, kRes3b, kMesh11, kMesh61};

@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the local compute kernels — the
 // algorithm-selection study behind the paper's reliance on cuDNN autotuning
-// (direct vs im2col+GEMM, forward vs backward passes), on shrunken versions
+// (direct vs GEMM, forward vs backward passes), on shrunken versions
 // of the Fig. 2/3 layer geometries.
 //
 // Items processed are FLOP counts (2·N·F·H̃·W̃·C·Kh·Kw per conv pass), so
@@ -29,6 +29,7 @@ using bench::kMesh11;
 using bench::kMesh61;
 using bench::kRes3b;
 using bench::kRes3x3;
+using bench::kSmallPlane;
 using bench::params_of;
 
 /// Pin the pool budget from a benchmark Arg (0 keeps automatic sizing).
@@ -118,7 +119,7 @@ void bench_pool(benchmark::State& state, PoolMode mode) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM: the im2col contraction shapes of the paper's layer geometries
+// GEMM: the lowered contraction shapes of the paper's layer geometries
 // (M = filters, N = output positions per sample, K = C·Kh·Kw), plus the
 // model-parallel FC shape. items_per_second = FLOP/s.
 // ---------------------------------------------------------------------------
@@ -157,38 +158,36 @@ void bench_gemm_threads(benchmark::State& state, const LayerArgs& a) {
 }  // namespace
 
 BENCHMARK_CAPTURE(bench_forward, conv1_direct, kConv1, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_forward, conv1_im2col, kConv1, ConvAlgo::kIm2col);
+BENCHMARK_CAPTURE(bench_forward, conv1_gemm, kConv1, ConvAlgo::kGemm);
 BENCHMARK_CAPTURE(bench_forward, res3b_direct, kRes3b, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_forward, res3b_im2col, kRes3b, ConvAlgo::kIm2col);
-// kAuto's pack-free GEMM family (1×1/s1 layers): im2col minus the pack.
-BENCHMARK_CAPTURE(bench_forward, res3b_gemm_strips, kRes3b,
-                  ConvAlgo::kGemmStrips);
-// Winograd F(2×2,3×3) vs the GEMM lowering on the 3×3 residual layer.
-BENCHMARK_CAPTURE(bench_forward, res3b_3x3_im2col, kRes3x3, ConvAlgo::kIm2col);
-BENCHMARK_CAPTURE(bench_forward, res3b_3x3_winograd, kRes3x3,
-                  ConvAlgo::kWinograd);
+BENCHMARK_CAPTURE(bench_forward, res3b_gemm, kRes3b, ConvAlgo::kGemm);
+BENCHMARK_CAPTURE(bench_forward, res3b_3x3_gemm, kRes3x3, ConvAlgo::kGemm);
 BENCHMARK_CAPTURE(bench_forward, mesh_conv1_1_direct, kMesh11, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_forward, mesh_conv1_1_im2col, kMesh11, ConvAlgo::kIm2col);
+BENCHMARK_CAPTURE(bench_forward, mesh_conv1_1_gemm, kMesh11, ConvAlgo::kGemm);
 BENCHMARK_CAPTURE(bench_forward, mesh_conv6_1_direct, kMesh61, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_forward, mesh_conv6_1_im2col, kMesh61, ConvAlgo::kIm2col);
-BENCHMARK_CAPTURE(bench_forward_threads, res3b_im2col, kRes3b, ConvAlgo::kIm2col)
+BENCHMARK_CAPTURE(bench_forward, mesh_conv6_1_gemm, kMesh61, ConvAlgo::kGemm);
+BENCHMARK_CAPTURE(bench_forward_threads, res3b_gemm, kRes3b, ConvAlgo::kGemm)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(bench_backward_data, res3b_direct, kRes3b, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_backward_data, res3b_gemm, kRes3b, ConvAlgo::kIm2col);
-BENCHMARK_CAPTURE(bench_backward_data, res3b_gemm_strips, kRes3b,
-                  ConvAlgo::kGemmStrips);
+BENCHMARK_CAPTURE(bench_backward_data, res3b_gemm, kRes3b, ConvAlgo::kGemm);
 BENCHMARK_CAPTURE(bench_backward_data, mesh_conv6_1_direct, kMesh61,
                   ConvAlgo::kDirect);
 BENCHMARK_CAPTURE(bench_backward_data, mesh_conv6_1_gemm, kMesh61,
-                  ConvAlgo::kIm2col);
+                  ConvAlgo::kGemm);
 BENCHMARK_CAPTURE(bench_backward_filter, res3b_direct, kRes3b, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_backward_filter, res3b_gemm, kRes3b, ConvAlgo::kIm2col);
-BENCHMARK_CAPTURE(bench_backward_filter, res3b_gemm_strips, kRes3b,
-                  ConvAlgo::kGemmStrips);
+BENCHMARK_CAPTURE(bench_backward_filter, res3b_gemm, kRes3b, ConvAlgo::kGemm);
+BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv1_1_direct, kMesh11,
+                  ConvAlgo::kDirect);
+BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv1_1_gemm, kMesh11,
+                  ConvAlgo::kGemm);
 BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv6_1_direct, kMesh61,
                   ConvAlgo::kDirect);
 BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv6_1_gemm, kMesh61,
-                  ConvAlgo::kIm2col);
+                  ConvAlgo::kGemm);
+// Small plane (2² outputs per sample): every k block is 4 long, so the
+// accumulation of each block into dw dominates the GEMM.
+BENCHMARK_CAPTURE(bench_backward_filter, small_plane_gemm, kSmallPlane,
+                  ConvAlgo::kGemm);
 BENCHMARK_CAPTURE(bench_pool, max, distconv::kernels::PoolMode::kMax);
 BENCHMARK_CAPTURE(bench_pool, average, distconv::kernels::PoolMode::kAverage);
 BENCHMARK_CAPTURE(bench_gemm, conv1, kConv1);

@@ -20,14 +20,6 @@ void check_weights(const Tensor<float>& w, const ConvParams& p) {
              " does not match kernel size ", p.kh, "x", p.kw);
 }
 
-/// The GEMM-backed paths tile their lowering buffers into strips of at most
-/// this many floats (~2 MiB), so buffer size is bounded regardless of the
-/// range; the forward/backward-data strips only split the GEMM's n
-/// dimension, which leaves every output element's accumulation chain
-/// unchanged. Backward-filter strips split the k dimension, so there the
-/// strip height is part of dw's accumulation chain.
-constexpr std::int64_t kLoweringStripElems = 1 << 19;
-
 /// kAuto sentinel = "no override". Seeded lazily from DC_CONV_ALGO.
 std::atomic<ConvAlgo> g_algo_override{ConvAlgo::kAuto};
 std::atomic<bool> g_algo_override_seeded{false};
@@ -48,38 +40,18 @@ void seed_algo_override_from_env() {
 const char* conv_algo_name(ConvAlgo algo) {
   switch (algo) {
     case ConvAlgo::kDirect: return "direct";
-    case ConvAlgo::kIm2col: return "im2col";
-    case ConvAlgo::kGemmStrips: return "gemm-strips";
-    case ConvAlgo::kWinograd: return "winograd";
+    case ConvAlgo::kGemm: return "gemm";
     case ConvAlgo::kAuto: return "auto";
   }
   return "?";
 }
 
 bool parse_conv_algo(const char* s, ConvAlgo* out) {
-  for (ConvAlgo algo :
-       {ConvAlgo::kDirect, ConvAlgo::kIm2col, ConvAlgo::kGemmStrips,
-        ConvAlgo::kWinograd, ConvAlgo::kAuto}) {
+  for (ConvAlgo algo : {ConvAlgo::kDirect, ConvAlgo::kGemm, ConvAlgo::kAuto}) {
     if (std::strcmp(s, conv_algo_name(algo)) == 0) {
       *out = algo;
       return true;
     }
-  }
-  return false;
-}
-
-bool conv_algo_applicable(ConvAlgo algo, ConvPass pass, const ConvParams& p) {
-  switch (algo) {
-    case ConvAlgo::kDirect:
-    case ConvAlgo::kIm2col:
-    case ConvAlgo::kAuto:
-      return true;
-    case ConvAlgo::kGemmStrips:
-      return p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.ph == 0 &&
-             p.pw == 0;
-    case ConvAlgo::kWinograd:
-      return pass == ConvPass::kForward && p.kh == 3 && p.kw == 3 &&
-             p.sh == 1 && p.sw == 1;
   }
   return false;
 }
@@ -97,36 +69,32 @@ ConvAlgo conv_algo_override() {
 ConvAlgo resolve_conv_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
                            std::int64_t f) {
   if (algo != ConvAlgo::kAuto) return algo;
-  // Arithmetic-intensity cutoff: the im2col pack writes C·Kh·Kw floats per
-  // output position and the GEMM reads each back F times. Shallow stencils
-  // (small C·Kh·Kw) or few filters leave the GEMM memory-bound on packing
-  // traffic, where the direct stencil — which touches x only once per
-  // (c, a, b) — wins.
+  // Register-tile cutoff: the micro-kernel contracts 6 × 16 outputs per
+  // step, so shallow stencils (small C·Kh·Kw) or few filters leave most of
+  // the tile idle, where the direct stencil — which touches x only once per
+  // (c, a, b) — wins. Direct and GEMM sum in different orders, so moving
+  // the cutoff changes results' bits.
   const std::int64_t depth = c * p.kh * p.kw;
-  if (depth < 32 || f < 8) return ConvAlgo::kDirect;
-  // A 1×1 stride-1 unpadded layer needs no lowering at all.
-  return conv_algo_applicable(ConvAlgo::kGemmStrips, ConvPass::kForward, p)
-             ? ConvAlgo::kGemmStrips
-             : ConvAlgo::kIm2col;
+  return depth < 32 || f < 8 ? ConvAlgo::kDirect : ConvAlgo::kGemm;
+}
+
+std::int64_t gemm_strip_height(std::int64_t depth, std::int64_t rw) {
+  constexpr std::int64_t kStripElems = 1 << 19;  // ~2 MiB of lowered input
+  const std::int64_t target_rows = std::max<std::int64_t>(1, kStripElems / depth);
+  return std::max<std::int64_t>(1, target_rows / std::max<std::int64_t>(1, rw));
 }
 
 namespace {
 
-/// The algorithm a dispatch runs. Explicit algorithms must be applicable to
-/// the pass/shape; kAuto takes the DC_CONV_ALGO escape hatch when the shape
-/// supports it, else the layer-constant rule.
-ConvAlgo dispatch_algo(ConvAlgo algo, ConvPass pass, const ConvParams& p,
-                       std::int64_t c, std::int64_t f) {
-  if (algo == ConvAlgo::kAuto) {
-    const ConvAlgo forced = conv_algo_override();
-    if (forced != ConvAlgo::kAuto && conv_algo_applicable(forced, pass, p)) {
-      return forced;
-    }
-    return resolve_conv_algo(algo, p, c, f);
+/// The algorithm a dispatch runs: an explicit algorithm as given; kAuto
+/// takes the DC_CONV_ALGO escape hatch when set, else the layer-constant
+/// rule.
+ConvAlgo dispatch_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
+                       std::int64_t f) {
+  if (algo == ConvAlgo::kAuto && conv_algo_override() != ConvAlgo::kAuto) {
+    return conv_algo_override();
   }
-  DC_REQUIRE(conv_algo_applicable(algo, pass, p), "algorithm ",
-             conv_algo_name(algo), " cannot execute this pass/shape");
-  return algo;
+  return resolve_conv_algo(algo, p, c, f);
 }
 
 }  // namespace
@@ -280,156 +248,79 @@ void conv2d_forward_direct(const Tensor<float>& x, Origin2 xo,
   });
 }
 
-/// Strip height for a lowering buffer of depth `depth` floats per output
-/// position over rows of width `rw`, within kLoweringStripElems. Depends
-/// only on shapes, never on the range height or the thread budget.
-std::int64_t lowering_strip_height(std::int64_t depth, std::int64_t rw) {
-  const std::int64_t target_rows =
-      std::max<std::int64_t>(1, kLoweringStripElems / depth);
-  return std::max<std::int64_t>(1, target_rows / std::max<std::int64_t>(1, rw));
+/// Buffer offsets of the stencil taps in weight-row order (c, a, b): the
+/// contraction index of both GEMM passes.
+std::vector<std::int64_t> tap_offsets(const Strides4& xst, std::int64_t C,
+                                      const ConvParams& p) {
+  std::vector<std::int64_t> taps;
+  taps.reserve(static_cast<std::size_t>(C * p.kh * p.kw));
+  for (std::int64_t c = 0; c < C; ++c) {
+    for (int a = 0; a < p.kh; ++a) {
+      for (int b = 0; b < p.kw; ++b) taps.push_back(c * xst.c + a * xst.h + b);
+    }
+  }
+  return taps;
 }
 
-/// Output positions a strip buffer holds for range `r` under strip height
-/// `hb`: one full strip, or only what the range covers when it is shorter.
-std::int64_t strip_capacity(const Range2& r, std::int64_t hb) {
-  return std::min(hb, r.h1 - r.h0) * (r.w1 - r.w0);
+/// Append the output positions of `r` for sample k, ordered (h, w): in x,
+/// the offset of the receptive field's (c=0, a=0, b=0) tap; in the output
+/// (or dy) buffer, the offset of the position's channel-0 element.
+void append_positions(const Strides4& xst, Origin2 xo, const Strides4& ost,
+                      Origin2 oo, const ConvParams& p, std::int64_t k,
+                      const Range2& r, std::vector<std::int64_t>& xpos,
+                      std::vector<std::int64_t>& opos) {
+  for (std::int64_t gh = r.h0; gh < r.h1; ++gh) {
+    for (std::int64_t gw = r.w0; gw < r.w1; ++gw) {
+      xpos.push_back(xst.offset(k, 0, gh * p.sh - p.ph - xo.h,
+                                gw * p.sw - p.pw - xo.w));
+      opos.push_back(ost.offset(k, 0, gh - oo.h, gw - oo.w));
+    }
+  }
 }
 
-void conv2d_forward_im2col(const Tensor<float>& x, Origin2 xo,
-                           const Tensor<float>& w, Tensor<float>& y, Origin2 yo,
-                           const ConvParams& p, const Range2& r) {
+/// Offsets 0, 1, …, n−1: the row (or k) index of a dense row-major operand.
+std::vector<std::int64_t> iota_offsets(std::int64_t n) {
+  std::vector<std::int64_t> v(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) v[i] = i;
+  return v;
+}
+
+/// Implicit-GEMM forward: y (positions × F) = X (positions × C·Kh·Kw) · Wᵀ,
+/// with X read tap by tap straight from the haloed input. Output positions
+/// of all samples form M and the filters N, so F sits on the micro-tile's
+/// 16-wide side. One accumulation chain over the taps: the same kKc blocks
+/// as a GEMM on the lowered input, hence the same bits.
+void conv2d_forward_gemm(const Tensor<float>& x, Origin2 xo,
+                         const Tensor<float>& w, Tensor<float>& y, Origin2 yo,
+                         const ConvParams& p, const Range2& r) {
   const std::int64_t N = y.shape().n;
   const std::int64_t F = w.shape().n;
   const std::int64_t C = w.shape().c;
   const std::int64_t ckk = C * p.kh * p.kw;
-  const std::int64_t rw = r.w1 - r.w0;
-  const std::int64_t hb = lowering_strip_height(ckk, rw);
-  const std::int64_t cap = strip_capacity(r, hb);
-  std::vector<float> col(static_cast<std::size_t>(ckk * cap));
-  std::vector<float> out(static_cast<std::size_t>(F * cap));
-  const auto& yst = y.strides();
+  const std::vector<std::int64_t> taps = tap_offsets(x.strides(), C, p);
+  const std::vector<std::int64_t> wk = iota_offsets(ckk);
+  std::vector<std::int64_t> xpos, ypos;
+  xpos.reserve(static_cast<std::size_t>(N * r.area()));
+  ypos.reserve(xpos.capacity());
   for (std::int64_t k = 0; k < N; ++k) {
-    for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
-      const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
-      const std::int64_t rows = rs.area();
-      im2col(x, xo, k, p, rs, col.data());
-      // out (F × rows) = W (F × ckk) · col (ckk × rows)
-      sgemm(false, false, F, rows, ckk, 1.0f, w.data(), ckk, col.data(), rows,
-            0.0f, out.data(), rows);
-      parallel::parallel_for(0, F, 1, [&](std::int64_t f0, std::int64_t f1) {
-        for (std::int64_t f = f0; f < f1; ++f) {
-          const float* src = out.data() + f * rows;
-          for (std::int64_t gh = rs.h0; gh < rs.h1; ++gh) {
-            float* yrow = y.data() + yst.offset(k, f, gh - yo.h, rs.w0 - yo.w);
-            std::copy(src, src + rw, yrow);
-            src += rw;
-          }
-        }
-      });
-    }
+    append_positions(x.strides(), xo, y.strides(), yo, p, k, r, xpos, ypos);
   }
-}
-
-/// For a 1×1 stride-1 unpadded layer, a buffer's channel planes *are* the
-/// lowering matrix whenever each plane's rows are dense over the range
-/// (row stride == range width, zero horizontal offset): element (c, h, w)
-/// sits exactly where im2col would pack it, at plane base + c·(channel
-/// stride). Densely laid out buffers then skip the pack entirely.
-bool dense_planes(const Tensor<float>& t, Origin2 to, const Range2& r) {
-  return t.strides().h == (r.w1 - r.w0) && r.w0 == to.w;
-}
-
-/// Zero-copy forward for 1×1 stride-1 unpadded layers: y = W·x per strip,
-/// reading x planes and writing y planes in place. Bitwise identical to
-/// kIm2col — the GEMM sees the same operand values in the same (m, n, k)
-/// shape, only through different leading dimensions; non-dense buffers fall
-/// back to packing, which is exactly the im2col path.
-void conv2d_forward_gemm_strips(const Tensor<float>& x, Origin2 xo,
-                                const Tensor<float>& w, Tensor<float>& y,
-                                Origin2 yo, const ConvParams& p, const Range2& r) {
-  const std::int64_t N = y.shape().n;
-  const std::int64_t F = w.shape().n;
-  const std::int64_t C = w.shape().c;
-  const std::int64_t rw = r.w1 - r.w0;
-  const auto& xst = x.strides();
-  const auto& yst = y.strides();
-  const bool x_dense = dense_planes(x, xo, r);
-  const bool y_dense = dense_planes(y, yo, r);
-  const std::int64_t hb = lowering_strip_height(C, rw);
-  const std::int64_t cap = strip_capacity(r, hb);
-  std::vector<float> col, out;
-  if (!x_dense) col.resize(static_cast<std::size_t>(C * cap));
-  if (!y_dense) out.resize(static_cast<std::size_t>(F * cap));
-  for (std::int64_t k = 0; k < N; ++k) {
-    for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
-      const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
-      const std::int64_t rows = rs.area();
-      const float* b;
-      std::int64_t ldb;
-      if (x_dense) {
-        b = x.data() + xst.offset(k, 0, rs.h0 - xo.h, 0);
-        ldb = xst.c;
-      } else {
-        im2col(x, xo, k, p, rs, col.data());
-        b = col.data();
-        ldb = rows;
-      }
-      // y (F × rows) = W (F × C) · x (C × rows)
-      if (y_dense) {
-        sgemm(false, false, F, rows, C, 1.0f, w.data(), C, b, ldb, 0.0f,
-              y.data() + yst.offset(k, 0, rs.h0 - yo.h, 0), yst.c);
-      } else {
-        sgemm(false, false, F, rows, C, 1.0f, w.data(), C, b, ldb, 0.0f,
-              out.data(), rows);
-        parallel::parallel_for(0, F, 1, [&](std::int64_t f0, std::int64_t f1) {
-          for (std::int64_t f = f0; f < f1; ++f) {
-            const float* src = out.data() + f * rows;
-            for (std::int64_t gh = rs.h0; gh < rs.h1; ++gh) {
-              float* yrow =
-                  y.data() + yst.offset(k, f, gh - yo.h, rs.w0 - yo.w);
-              std::copy(src, src + rw, yrow);
-              src += rw;
-            }
-          }
-        });
-      }
-    }
-  }
+  IndirectGemm g;
+  g.m = static_cast<std::int64_t>(xpos.size());
+  g.n = F;
+  g.a = x.data();
+  g.a_row = xpos.data();
+  g.a_k = taps.data();
+  g.b = w.data();
+  g.b_k = wk.data();
+  g.b_col = ckk;
+  g.c = y.data();
+  g.c_row = ypos.data();
+  g.c_col = y.strides().c;
+  sgemm_indirect(g, {ckk}, /*accumulate=*/false);
 }
 
 }  // namespace
-
-void im2col(const Tensor<float>& x, Origin2 xo, std::int64_t sample,
-            const ConvParams& p, const Range2& r, float* col) {
-  const std::int64_t C = x.shape().c;
-  const std::int64_t rw = r.w1 - r.w0;
-  const std::int64_t rows = r.area();
-  const auto& xst = x.strides();
-  // Channel c owns rows [c·kh·kw, (c+1)·kh·kw) of the lowering: disjoint
-  // writes, parallel over channels.
-  parallel::parallel_for(0, C, 1, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t c = c0; c < c1; ++c) {
-      std::int64_t m = c * p.kh * p.kw;
-      for (int a = 0; a < p.kh; ++a) {
-        for (int b = 0; b < p.kw; ++b, ++m) {
-          float* dst = col + m * rows;
-          for (std::int64_t gh = r.h0; gh < r.h1; ++gh) {
-            const std::int64_t ih = gh * p.sh - p.ph + a - xo.h;
-            const float* xrow =
-                x.data() +
-                xst.offset(sample, c, ih, r.w0 * p.sw - p.pw + b - xo.w);
-            if (p.sw == 1) {
-              std::copy(xrow, xrow + rw, dst);
-            } else {
-              for (std::int64_t j = 0; j < rw; ++j) dst[j] = xrow[j * p.sw];
-            }
-            dst += rw;
-          }
-        }
-      }
-    }
-  });
-}
 
 void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
                     Tensor<float>& y, Origin2 yo, const ConvParams& p,
@@ -437,19 +328,12 @@ void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
   check_weights(w, p);
   if (r.empty()) return;
   DC_REQUIRE(x.shape().n == y.shape().n, "sample count mismatch");
-  switch (dispatch_algo(algo, ConvPass::kForward, p, w.shape().c,
-                        w.shape().n)) {
+  switch (dispatch_algo(algo, p, w.shape().c, w.shape().n)) {
     case ConvAlgo::kDirect:
       conv2d_forward_direct(x, xo, w, y, yo, p, r);
       break;
-    case ConvAlgo::kIm2col:
-      conv2d_forward_im2col(x, xo, w, y, yo, p, r);
-      break;
-    case ConvAlgo::kGemmStrips:
-      conv2d_forward_gemm_strips(x, xo, w, y, yo, p, r);
-      break;
-    case ConvAlgo::kWinograd:
-      conv2d_forward_winograd(x, xo, w, y, yo, p, r);
+    case ConvAlgo::kGemm:
+      conv2d_forward_gemm(x, xo, w, y, yo, p, r);
       break;
     case ConvAlgo::kAuto:
       DC_FAIL("unresolved convolution algorithm");
@@ -492,6 +376,21 @@ void pack_window(const Tensor<float>& t, Origin2 to, std::int64_t sample,
       }
     }
   });
+}
+
+/// Output positions a strip buffer holds for range `r` under strip height
+/// `hb`: one full strip, or only what the range covers when it is shorter.
+std::int64_t strip_capacity(const Range2& r, std::int64_t hb) {
+  return std::min(hb, r.h1 - r.h0) * (r.w1 - r.w0);
+}
+
+/// For a 1×1 stride-1 unpadded layer, a buffer's channel planes *are* the
+/// lowering matrix whenever each plane's rows are dense over the range
+/// (row stride == range width, zero horizontal offset): element (c, h, w)
+/// sits at plane base + c·(channel stride). Densely laid out buffers then
+/// skip the pack entirely.
+bool dense_planes(const Tensor<float>& t, Origin2 to, const Range2& r) {
+  return t.strides().h == (r.w1 - r.w0) && r.w0 == to.w;
 }
 
 void conv2d_backward_data_direct(const Tensor<float>& dy, Origin2 dyo,
@@ -569,7 +468,7 @@ void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
   const Range2 full_win = gather_window(p, r, out_h, out_w);
   const std::int64_t win_w = std::max<std::int64_t>(1, full_win.w1 - full_win.w0);
   const std::int64_t hb = std::max<std::int64_t>(
-      1, lowering_strip_height(ckk, win_w) * p.sh);
+      1, gemm_strip_height(ckk, win_w) * p.sh);
   std::vector<float> dyp, dcol_a, dcol_b;
   for (std::int64_t k = 0; k < N; ++k) {
     std::vector<float>* dcol = &dcol_a;
@@ -664,7 +563,7 @@ void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
 /// Zero-copy backward data for 1×1 stride-1 unpadded layers: dx = Wᵀ·dy per
 /// strip, straight between buffer planes — the gather window degenerates to
 /// the range itself, so the col2im scatter disappears. Bitwise identical to
-/// kIm2col (the legacy dx = 0 + dcol copy cannot change bits: micro-kernel
+/// col2im (its dx = 0 + dcol copy cannot change bits: micro-kernel
 /// accumulators never produce -0, so adding dcol onto zero is the identity).
 void conv2d_backward_data_gemm_strips(const Tensor<float>& dy, Origin2 dyo,
                                       const Tensor<float>& w, Tensor<float>& dx,
@@ -684,7 +583,7 @@ void conv2d_backward_data_gemm_strips(const Tensor<float>& dy, Origin2 dyo,
   const auto& dxst = dx.strides();
   const bool dy_dense = dense_planes(dy, dyo, r);
   const bool dx_dense = dense_planes(dx, dxo, r);
-  const std::int64_t hb = lowering_strip_height(C, rw);
+  const std::int64_t hb = gemm_strip_height(C, rw);
   const std::int64_t cap = strip_capacity(r, hb);
   std::vector<float> dyp, dcol;
   if (!dy_dense) dyp.resize(static_cast<std::size_t>(F * cap));
@@ -735,19 +634,20 @@ void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
                           std::int64_t out_w, ConvAlgo algo) {
   check_weights(w, p);
   if (r.empty()) return;
-  switch (dispatch_algo(algo, ConvPass::kBackwardData, p, w.shape().c,
-                        w.shape().n)) {
+  switch (dispatch_algo(algo, p, w.shape().c, w.shape().n)) {
     case ConvAlgo::kDirect:
       conv2d_backward_data_direct(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
       break;
-    case ConvAlgo::kIm2col:
-      conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
+    case ConvAlgo::kGemm:
+      // A 1×1 stride-1 unpadded layer needs no col2im at all.
+      if (p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.ph == 0 &&
+          p.pw == 0) {
+        conv2d_backward_data_gemm_strips(dy, dyo, w, dx, dxo, p, r, out_h,
+                                         out_w);
+      } else {
+        conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
+      }
       break;
-    case ConvAlgo::kGemmStrips:
-      conv2d_backward_data_gemm_strips(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
-      break;
-    case ConvAlgo::kWinograd:
-      DC_FAIL("winograd has no backward-data kernel");
     case ConvAlgo::kAuto:
       DC_FAIL("unresolved convolution algorithm");
   }
@@ -802,9 +702,11 @@ void conv2d_backward_filter_direct(const Tensor<float>& x, Origin2 xo,
   });
 }
 
-/// im2col-transpose backward filter: dw (F × ckk) += dy (F × rows) ·
-/// im2col(x)ᵀ (rows × ckk), accumulated serially over samples and strips so
-/// the per-element chain is fixed.
+/// Implicit-GEMM backward filter: dwᵀ (C·Kh·Kw × F) += X_kᵀ · dy_k, with
+/// the taps as M, the filters as N, and X read straight from the haloed
+/// input. Each (sample, strip of gemm_strip_height rows) is one
+/// accumulation chain over its output positions, in the order of a GEMM on
+/// the lowered input per strip — so dw keeps its exact bits.
 void conv2d_backward_filter_gemm(const Tensor<float>& x, Origin2 xo,
                                  const Tensor<float>& dy, Origin2 dyo,
                                  Tensor<float>& dw, const ConvParams& p,
@@ -813,74 +715,33 @@ void conv2d_backward_filter_gemm(const Tensor<float>& x, Origin2 xo,
   const std::int64_t F = dw.shape().n;
   const std::int64_t C = dw.shape().c;
   const std::int64_t ckk = C * p.kh * p.kw;
-  const std::int64_t rw = r.w1 - r.w0;
-  const std::int64_t hb = lowering_strip_height(ckk, rw);
-  const std::int64_t cap = strip_capacity(r, hb);
-  std::vector<float> col(static_cast<std::size_t>(ckk * cap));
-  std::vector<float> dyp(static_cast<std::size_t>(F * cap));
+  const std::int64_t hb = gemm_strip_height(ckk, r.w1 - r.w0);
+  const std::vector<std::int64_t> taps = tap_offsets(x.strides(), C, p);
+  const std::vector<std::int64_t> dwrow = iota_offsets(ckk);
+  std::vector<std::int64_t> xpos, dypos, chain_end;
+  xpos.reserve(static_cast<std::size_t>(N * r.area()));
+  dypos.reserve(xpos.capacity());
   for (std::int64_t k = 0; k < N; ++k) {
     for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
       const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
-      const std::int64_t rows = rs.area();
-      im2col(x, xo, k, p, rs, col.data());
-      pack_window(dy, dyo, k, F, rs, dyp.data());
-      // dw (F × ckk) += dy (F × rows) · col (ckk × rows)ᵀ
-      sgemm(false, true, F, ckk, rows, 1.0f, dyp.data(), rows, col.data(), rows,
-            1.0f, dw.data(), ckk);
+      append_positions(x.strides(), xo, dy.strides(), dyo, p, k, rs, xpos,
+                       dypos);
+      chain_end.push_back(static_cast<std::int64_t>(xpos.size()));
     }
   }
-}
-
-/// Zero-copy backward filter for 1×1 stride-1 unpadded layers: the strips
-/// split the GEMM's *k* dimension (the strip height is part of dw's
-/// accumulation chain) and only the packs are elided — dy and x planes feed
-/// the GEMM in place when dense. Bitwise identical to kIm2col: same strip
-/// sequence, same operand values.
-void conv2d_backward_filter_gemm_strips(const Tensor<float>& x, Origin2 xo,
-                                        const Tensor<float>& dy, Origin2 dyo,
-                                        Tensor<float>& dw, const ConvParams& p,
-                                        const Range2& r) {
-  const std::int64_t N = dy.shape().n;
-  const std::int64_t F = dw.shape().n;
-  const std::int64_t C = dw.shape().c;
-  const std::int64_t rw = r.w1 - r.w0;
-  const auto& xst = x.strides();
-  const auto& dyst = dy.strides();
-  const bool x_dense = dense_planes(x, xo, r);
-  const bool dy_dense = dense_planes(dy, dyo, r);
-  const std::int64_t hb = lowering_strip_height(C, rw);
-  const std::int64_t cap = strip_capacity(r, hb);
-  std::vector<float> col, dyp;
-  if (!x_dense) col.resize(static_cast<std::size_t>(C * cap));
-  if (!dy_dense) dyp.resize(static_cast<std::size_t>(F * cap));
-  for (std::int64_t k = 0; k < N; ++k) {
-    for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
-      const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
-      const std::int64_t rows = rs.area();
-      const float* a;
-      std::int64_t lda;
-      if (dy_dense) {
-        a = dy.data() + dyst.offset(k, 0, rs.h0 - dyo.h, 0);
-        lda = dyst.c;
-      } else {
-        pack_window(dy, dyo, k, F, rs, dyp.data());
-        a = dyp.data();
-        lda = rows;
-      }
-      const float* b;
-      std::int64_t ldb;
-      if (x_dense) {
-        b = x.data() + xst.offset(k, 0, rs.h0 - xo.h, 0);
-        ldb = xst.c;
-      } else {
-        im2col(x, xo, k, p, rs, col.data());
-        b = col.data();
-        ldb = rows;
-      }
-      // dw (F × C) += dy (F × rows) · x (C × rows)ᵀ
-      sgemm(false, true, F, C, rows, 1.0f, a, lda, b, ldb, 1.0f, dw.data(), C);
-    }
-  }
+  IndirectGemm g;
+  g.m = ckk;
+  g.n = F;
+  g.a = x.data();
+  g.a_row = taps.data();
+  g.a_k = xpos.data();
+  g.b = dy.data();
+  g.b_k = dypos.data();
+  g.b_col = dy.strides().c;
+  g.c = dw.data();
+  g.c_row = dwrow.data();
+  g.c_col = ckk;
+  sgemm_indirect(g, chain_end, /*accumulate=*/true);
 }
 
 }  // namespace
@@ -890,22 +751,16 @@ void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
                             const ConvParams& p, const Range2& r, bool accumulate,
                             ConvAlgo algo) {
   check_weights(dw, p);
-  const ConvAlgo run = dispatch_algo(algo, ConvPass::kBackwardFilter, p,
-                                     dw.shape().c, dw.shape().n);
+  const ConvAlgo run = dispatch_algo(algo, p, dw.shape().c, dw.shape().n);
   if (!accumulate) dw.zero();
   if (r.empty()) return;
   switch (run) {
     case ConvAlgo::kDirect:
       conv2d_backward_filter_direct(x, xo, dy, dyo, dw, p, r);
       break;
-    case ConvAlgo::kIm2col:
+    case ConvAlgo::kGemm:
       conv2d_backward_filter_gemm(x, xo, dy, dyo, dw, p, r);
       break;
-    case ConvAlgo::kGemmStrips:
-      conv2d_backward_filter_gemm_strips(x, xo, dy, dyo, dw, p, r);
-      break;
-    case ConvAlgo::kWinograd:
-      DC_FAIL("winograd has no backward-filter kernel");
     case ConvAlgo::kAuto:
       DC_FAIL("unresolved convolution algorithm");
   }

@@ -47,39 +47,23 @@ struct Range2 {
 };
 
 enum class ConvAlgo {
-  kDirect,      ///< straight loop nests (forward stencil / backward gather)
-  kIm2col,      ///< GEMM-backed: im2col (fwd), col2im (bwd-data),
-                ///< im2col-transpose (bwd-filter)
-  kGemmStrips,  ///< zero-copy GEMM for 1×1 stride-1 unpadded layers: the
-                ///< lowering *is* the tensor, so strips feed buffer planes
-                ///< straight into the tiled GEMM (bitwise == kIm2col; packs
-                ///< only when a plane is not dense)
-  kWinograd,    ///< F(2×2, 3×3) fast path for 3×3 stride-1 layers (forward
-                ///< only; tolerance-mode exactness — the accumulation chain
-                ///< differs from direct/im2col)
-  kAuto,        ///< resolve_conv_algo's layer-constant rule, the
-                ///< cuDNN-heuristic stand-in
+  kDirect,  ///< straight loop nests (forward stencil / backward gather)
+  kGemm,    ///< GEMM-backed: implicit GEMM gathered from the haloed input
+            ///< (fwd, bwd-filter); col2im (bwd-data), pack-free for 1×1
+            ///< stride-1 unpadded layers
+  kAuto,    ///< resolve_conv_algo's layer-constant rule, the
+            ///< cuDNN-heuristic stand-in
 };
 
-/// Which convolution kernel a dispatch runs: applicability differs per
-/// pass (Winograd has no backward kernels).
-enum class ConvPass { kForward, kBackwardData, kBackwardFilter };
-
 /// Short stable names for env knobs and bench dumps
-/// ("direct", "im2col", "gemm-strips", "winograd", "auto").
+/// ("direct", "gemm", "auto").
 const char* conv_algo_name(ConvAlgo algo);
 /// Inverse of conv_algo_name; false when `s` names no algorithm.
 bool parse_conv_algo(const char* s, ConvAlgo* out);
 
-/// Whether `algo` can execute `pass` for this layer shape. kGemmStrips
-/// needs a 1×1 stride-1 unpadded layer; kWinograd a 3×3 stride-1 forward
-/// pass. kDirect/kIm2col run everything.
-bool conv_algo_applicable(ConvAlgo algo, ConvPass pass, const ConvParams& p);
-
-/// Debugging escape hatch: force every dispatch whose shape supports it to
-/// one family. Seeded from DC_CONV_ALGO at first use; tests override it
-/// programmatically (kAuto restores the rule). Shapes the forced family
-/// cannot execute keep the rule's algorithm.
+/// Debugging escape hatch: force every kAuto dispatch to one family. Seeded
+/// from DC_CONV_ALGO at first use; tests override it programmatically
+/// (kAuto restores the rule).
 void set_conv_algo_override(ConvAlgo algo);
 ConvAlgo conv_algo_override();
 
@@ -87,13 +71,17 @@ ConvAlgo conv_algo_override();
 /// filters, kernel, stride, padding) — never on the local range or the
 /// thread budget — so every rank of a distributed run picks the same
 /// algorithm and results stay bitwise reproducible across decompositions.
-/// The GEMM path wins once the contraction depth C·Kh·Kw amortizes the
-/// im2col packing traffic (each packed element is reused F times); the
-/// lowering buffer itself is tiled to a fixed size, so it does not enter
-/// the decision. Within the GEMM class, 1×1 stride-1 unpadded layers take
-/// the pack-free kGemmStrips, which is bitwise equal to kIm2col.
+/// The GEMM path wins once the contraction depth C·Kh·Kw and the filter
+/// count fill the micro-kernel's register tile.
 ConvAlgo resolve_conv_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
                            std::int64_t f);
+
+/// Output rows per strip of the GEMM passes for `depth` = C·Kh·Kw floats per
+/// output position over rows `rw` wide (~2 MiB of lowering per strip).
+/// Depends on shapes only. Backward-filter runs one accumulation chain per
+/// (sample, strip), so this rule is part of dw's bits; backward-data's
+/// strips only bound its col2im buffer.
+std::int64_t gemm_strip_height(std::int64_t depth, std::int64_t rw);
 
 // --- padded oracles --------------------------------------------------------
 
@@ -123,7 +111,7 @@ void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
 /// Compute dx over the global input range `in_range` by gathering from dy
 /// (Eq. 3 adapted: for each input position, sum the output positions whose
 /// window covers it). `out_h/out_w` are the global output extents used to
-/// clip the gather at domain boundaries. kIm2col computes dcol = Wᵀ·dy with
+/// clip the gather at domain boundaries. kGemm computes dcol = Wᵀ·dy with
 /// the tiled GEMM and scatters it back via col2im.
 void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
                           const Tensor<float>& w, Tensor<float>& dx, Origin2 dxo,
@@ -133,30 +121,12 @@ void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
 
 /// Accumulate the local contribution to dw over the global output range
 /// `out_range` (Eq. 2 restricted to I(p); the cross-rank allreduce happens at
-/// the layer level). kIm2col computes dw += dy·im2col(x)ᵀ with the tiled
-/// GEMM.
+/// the layer level). kGemm computes dwᵀ += Xᵀ·dyᵀ with the implicit GEMM,
+/// one accumulation chain per (sample, gemm_strip_height strip).
 void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
                             const Tensor<float>& dy, Origin2 dyo, Tensor<float>& dw,
                             const ConvParams& p, const Range2& out_range,
                             bool accumulate = false,
                             ConvAlgo algo = ConvAlgo::kAuto);
-
-// --- im2col helpers (exposed for tests/benchmarks) --------------------------
-
-/// Lower the receptive fields of `out_range` into a (C·Kh·Kw) × (rows)
-/// matrix, rows ordered (h, w) within the range, one sample at a time.
-void im2col(const Tensor<float>& x, Origin2 xo, std::int64_t sample,
-            const ConvParams& p, const Range2& out_range, float* col);
-
-/// Winograd F(2×2, 3×3) forward for 3×3 stride-1 layers: per 2×2 output
-/// tile, transform the 4×4 input patch (Bᵀ d B), contract per transformed
-/// coordinate with 16 (F×C)·(C×tiles) GEMMs, and inverse-transform
-/// (Aᵀ m A) — 16/36 of the direct multiply count. Edge tiles zero-fill
-/// out-of-buffer reads and drop out-of-range outputs. Tolerance-mode
-/// exactness only: the per-output accumulation chain differs from the
-/// direct/im2col families.
-void conv2d_forward_winograd(const Tensor<float>& x, Origin2 xo,
-                             const Tensor<float>& w, Tensor<float>& y, Origin2 yo,
-                             const ConvParams& p, const Range2& out_range);
 
 }  // namespace distconv::kernels

@@ -80,6 +80,7 @@ std::vector<ProcessGrid> candidate_grids(int ranks, const Shape4& in_shape,
 
 double layer_node_cost(const core::NetworkSpec& spec, int layer,
                        const std::vector<Shape4>& shapes,
+                       const core::NetworkSpec::GradientLiveness& live,
                        const ProcessGrid& grid, const MachineModel& machine,
                        const OptimizerOptions& options,
                        const ComputeModel* compute_in) {
@@ -92,7 +93,8 @@ double layer_node_cost(const core::NetworkSpec& spec, int layer,
     compute_in = owned.get();
   }
   const ComputeModel& compute = *compute_in;
-  if (const auto d = conv_desc(spec, layer, shapes)) {
+  if (auto d = conv_desc(spec, layer, shapes)) {
+    d->needs_dx = live.ports[layer][0];
     const LayerCost c = conv_layer_cost(*d, grid, comm, compute, grid.size());
     if (options.objective == Objective::kInference) {
       // Forward-only serving objective: no backprop, no gradient allreduce.
@@ -115,6 +117,7 @@ namespace {
 /// Assign distributions along one path (a chain of layer indices) via
 /// shortest path; `fixed[i]` restricts a layer to its already-chosen grid.
 void assign_path(const core::NetworkSpec& spec, const std::vector<Shape4>& shapes,
+                 const core::NetworkSpec::GradientLiveness& live,
                  const std::vector<int>& path,
                  const std::vector<std::vector<ProcessGrid>>& candidates,
                  const MachineModel& machine, const ComputeModel& compute,
@@ -134,8 +137,8 @@ void assign_path(const core::NetworkSpec& spec, const std::vector<Shape4>& shape
   std::vector<ProcessGrid> prev_cands = cands_of(0);
   dist[0].assign(prev_cands.size(), 0.0);
   for (std::size_t a = 0; a < prev_cands.size(); ++a) {
-    dist[0][a] = layer_node_cost(spec, path[0], shapes, prev_cands[a], machine,
-                                 options, &compute);
+    dist[0][a] = layer_node_cost(spec, path[0], shapes, live, prev_cands[a],
+                                 machine, options, &compute);
   }
   back[0].assign(prev_cands.size(), -1);
 
@@ -146,8 +149,8 @@ void assign_path(const core::NetworkSpec& spec, const std::vector<Shape4>& shape
     dist[k].assign(cands.size(), kInf);
     back[k].assign(cands.size(), -1);
     for (std::size_t b = 0; b < cands.size(); ++b) {
-      const double node = layer_node_cost(spec, path[k], shapes, cands[b],
-                                          machine, options, &compute);
+      const double node = layer_node_cost(spec, path[k], shapes, live,
+                                          cands[b], machine, options, &compute);
       for (std::size_t a = 0; a < all_cands[k - 1].size(); ++a) {
         if (dist[k - 1][a] == kInf) continue;
         const double edge = shuffle_cost(shapes[path[k - 1]],
@@ -213,6 +216,7 @@ core::Strategy optimize_strategy(const core::NetworkSpec& spec, int ranks,
                                  const MachineModel& machine,
                                  const OptimizerOptions& options) {
   const auto shapes = spec.infer_shapes();
+  const auto live = spec.gradient_liveness();
   // One compute model for the whole optimization (hundreds of node-cost
   // evaluations across the DP loops).
   const auto compute = default_compute_model(machine);
@@ -235,8 +239,8 @@ core::Strategy optimize_strategy(const core::NetworkSpec& spec, int ranks,
           candidate_grids(ranks, in_shape, shapes[i], kernel, options);
     }
     // Path weight proxy: the layer's cost under its cheapest candidate.
-    proxy[i] = layer_node_cost(spec, i, shapes, candidates[i][0], machine,
-                               options, compute.get());
+    proxy[i] = layer_node_cost(spec, i, shapes, live, candidates[i][0],
+                               machine, options, compute.get());
   }
 
   core::Strategy strategy = core::Strategy::sample_parallel(spec.size(), ranks);
@@ -259,8 +263,8 @@ core::Strategy optimize_strategy(const core::NetworkSpec& spec, int ranks,
       }
       break;
     }
-    assign_path(spec, shapes, path, candidates, machine, *compute, options,
-                fixed, strategy, ranks);
+    assign_path(spec, shapes, live, path, candidates, machine, *compute,
+                options, fixed, strategy, ranks);
   }
   return strategy;
 }
@@ -269,6 +273,7 @@ std::vector<ChannelOpportunity> analyze_channel_opportunities(
     const core::NetworkSpec& spec, int ranks, const MachineModel& machine,
     const OptimizerOptions& options) {
   const auto shapes = spec.infer_shapes();
+  const auto live = spec.gradient_liveness();
   const CommModel comm(machine);
   const auto compute_ptr = default_compute_model(machine);
   const ComputeModel& compute = *compute_ptr;
@@ -276,8 +281,9 @@ std::vector<ChannelOpportunity> analyze_channel_opportunities(
 
   std::vector<ChannelOpportunity> out;
   for (int i = 0; i < spec.size(); ++i) {
-    const auto desc = conv_desc(spec, i, shapes);
+    auto desc = conv_desc(spec, i, shapes);
     if (!desc.has_value()) continue;
+    desc->needs_dx = live.ports[i][0];
     const Shape4 in_shape = shapes[spec.layer(i).parents()[0]];
 
     double best_spatial = kInf;

@@ -52,11 +52,15 @@ core::Strategy optimize_strategy(const core::NetworkSpec& spec, int ranks,
 
 /// Single-node cost used both for path weights and DP node weights:
 /// conv layers use the §V-A model, BN a small allreduce, the rest are free.
-/// `compute` lets callers in a loop reuse one model (the optimizer's DP
-/// calls this per (layer, candidate) pair); nullptr builds the default
-/// model (calibrated via DC_KERNEL_CALIBRATION, else roofline) per call.
+/// `live` is spec.gradient_liveness(): a conv whose input port is dead runs
+/// backward-filter only, exactly as network_cost and the runtime price and
+/// run it. `compute` lets callers in a loop reuse one model (the
+/// optimizer's DP calls this per (layer, candidate) pair); nullptr builds
+/// the default model (calibrated via DC_KERNEL_CALIBRATION, else roofline)
+/// per call.
 double layer_node_cost(const core::NetworkSpec& spec, int layer,
                        const std::vector<Shape4>& shapes,
+                       const core::NetworkSpec::GradientLiveness& live,
                        const ProcessGrid& grid, const MachineModel& machine,
                        const OptimizerOptions& options,
                        const ComputeModel* compute = nullptr);

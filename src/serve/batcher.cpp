@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "obs/attribution.hpp"
 #include "support/error.hpp"
@@ -21,12 +24,15 @@ void emit_req_instant(const char* name, std::uint64_t id) {
   obs::trace::emit_instant(name, "serve", args, 1);
 }
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
+std::int64_t env_int(const char* name, std::int64_t fallback,
+                     std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0) return fallback;
+  DC_REQUIRE(end != s && *end == '\0' && errno == 0 && v >= 0 && v <= max,
+             name, " must be an integer in [0, ", max, "], got \"", s, "\"");
   return static_cast<std::int64_t>(v);
 }
 
@@ -49,7 +55,7 @@ bool env_bool(const char* name, bool fallback) {
 BatcherOptions batcher_options_from_env() {
   BatcherOptions opts;
   opts.max_batch = static_cast<int>(
-      std::max<std::int64_t>(1, env_int("DC_SERVE_MAX_BATCH", opts.max_batch)));
+      std::max<std::int64_t>(1, env_int("DC_SERVE_MAX_BATCH", opts.max_batch, INT_MAX)));
   opts.max_delay_us = env_int("DC_SERVE_MAX_DELAY_US", opts.max_delay_us);
   opts.max_queue = env_int("DC_SERVE_MAX_QUEUE", opts.max_queue);
   opts.deadline_us = env_int("DC_SERVE_DEADLINE_US", opts.deadline_us);
@@ -62,7 +68,7 @@ ServeOptions serve_options_from_env() {
   opts.continuous = env_bool("DC_SERVE_CONTINUOUS", opts.continuous);
   opts.double_buffer = env_bool("DC_SERVE_DOUBLE_BUFFER", opts.double_buffer);
   opts.replicas = static_cast<int>(
-      std::max<std::int64_t>(1, env_int("DC_SERVE_REPLICAS", opts.replicas)));
+      std::max<std::int64_t>(1, env_int("DC_SERVE_REPLICAS", opts.replicas, INT_MAX)));
   opts.slo_p99_us = env_int("DC_SERVE_SLO_P99_US", opts.slo_p99_us);
   return opts;
 }

@@ -301,13 +301,13 @@ TEST(Exactness, OverlapOnAndOffAgreeBitwise) {
   EXPECT_EQ(a.loss, b.loss);
 }
 
-TEST(Exactness, Im2colAlgoMatchesDirectAtModelLevel) {
-  // The kernel-level family override: forcing im2col everywhere must still
+TEST(Exactness, GemmAlgoMatchesDirectAtModelLevel) {
+  // The kernel-level family override: forcing gemm everywhere must still
   // match runs on kAuto's rule.
   const auto a = run_once(small_conv_net, 4, [](int l, int p) {
     return Strategy::hybrid(l, p, 2);
   });
-  kernels::set_conv_algo_override(kernels::ConvAlgo::kIm2col);
+  kernels::set_conv_algo_override(kernels::ConvAlgo::kGemm);
   const auto b = run_once(small_conv_net, 4, [](int l, int p) {
     return Strategy::hybrid(l, p, 2);
   });

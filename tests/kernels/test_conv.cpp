@@ -3,8 +3,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <ostream>
+#include <vector>
 
 #include "kernels/conv.hpp"
+#include "kernels/gemm.hpp"
+#include "support/intmath.hpp"
 #include "support/rng.hpp"
 #include "tests/support/thread_guard.hpp"
 
@@ -59,7 +63,7 @@ TEST_P(ConvSweep, RegionKernelMatchesPaddedOracle) {
   }
 }
 
-TEST_P(ConvSweep, Im2colMatchesDirect) {
+TEST_P(ConvSweep, GemmMatchesDirect) {
   const auto cfg = GetParam();
   const ConvParams p{cfg.k, cfg.k, cfg.s, cfg.s, cfg.k / 2, cfg.k / 2};
   Tensor<float> x(Shape4{cfg.n, cfg.c, cfg.h, cfg.w});
@@ -74,7 +78,7 @@ TEST_P(ConvSweep, Im2colMatchesDirect) {
   conv2d_forward(xbuf, Origin2{-p.ph, -p.pw}, w, yd, Origin2{0, 0}, p, full,
                  ConvAlgo::kDirect);
   conv2d_forward(xbuf, Origin2{-p.ph, -p.pw}, w, yi, Origin2{0, 0}, p, full,
-                 ConvAlgo::kIm2col);
+                 ConvAlgo::kGemm);
   for (std::int64_t i = 0; i < yd.size(); ++i) {
     ASSERT_NEAR(yd.data()[i], yi.data()[i], 1e-4f);
   }
@@ -161,7 +165,7 @@ TEST_P(ConvSweep, GemmBackwardDataMatchesOracle) {
 
   Tensor<float> dx(dx_ref.shape());
   conv2d_backward_data(dy, Origin2{0, 0}, w, dx, Origin2{0, 0}, p,
-                       Range2{0, cfg.h, 0, cfg.w}, oh, ow, ConvAlgo::kIm2col);
+                       Range2{0, cfg.h, 0, cfg.w}, oh, ow, ConvAlgo::kGemm);
   for (std::int64_t i = 0; i < dx.size(); ++i) {
     ASSERT_NEAR(dx.data()[i], dx_ref.data()[i], 1e-4f) << "i=" << i;
   }
@@ -180,13 +184,13 @@ TEST_P(ConvSweep, GemmBackwardDataSplitRangesMatch) {
   w.fill_uniform(rng);
   Tensor<float> whole(Shape4{cfg.n, cfg.c, cfg.h, cfg.w}), split(whole.shape());
   conv2d_backward_data(dy, Origin2{0, 0}, w, whole, Origin2{0, 0}, p,
-                       Range2{0, cfg.h, 0, cfg.w}, oh, ow, ConvAlgo::kIm2col);
+                       Range2{0, cfg.h, 0, cfg.w}, oh, ow, ConvAlgo::kGemm);
   const std::int64_t mh = cfg.h / 2, mw = cfg.w / 2;
   for (const Range2& r :
        {Range2{0, mh, 0, mw}, Range2{0, mh, mw, cfg.w},
         Range2{mh, cfg.h, 0, mw}, Range2{mh, cfg.h, mw, cfg.w}}) {
     conv2d_backward_data(dy, Origin2{0, 0}, w, split, Origin2{0, 0}, p, r, oh,
-                         ow, ConvAlgo::kIm2col);
+                         ow, ConvAlgo::kGemm);
   }
   for (std::int64_t i = 0; i < whole.size(); ++i) {
     ASSERT_NEAR(whole.data()[i], split.data()[i], 1e-5f) << "i=" << i;
@@ -209,7 +213,7 @@ TEST_P(ConvSweep, GemmBackwardFilterMatchesOracle) {
   Tensor<float> dw(dw_ref.shape());
   conv2d_backward_filter(xbuf, Origin2{-p.ph, -p.pw}, dy, Origin2{0, 0}, dw, p,
                          Range2{0, oh, 0, ow}, /*accumulate=*/false,
-                         ConvAlgo::kIm2col);
+                         ConvAlgo::kGemm);
   for (std::int64_t i = 0; i < dw.size(); ++i) {
     ASSERT_NEAR(dw.data()[i], dw_ref.data()[i], 1e-3f) << "i=" << i;
   }
@@ -235,11 +239,11 @@ TEST_P(ConvSweep, ThreadCountDeterminism) {
 
   auto run_all = [&](Tensor<float>& y, Tensor<float>& dx, Tensor<float>& dw) {
     conv2d_forward(xbuf, Origin2{-p.ph, -p.pw}, w, y, Origin2{0, 0}, p, yr,
-                   ConvAlgo::kIm2col);
+                   ConvAlgo::kGemm);
     conv2d_backward_data(dy, Origin2{0, 0}, w, dx, Origin2{0, 0}, p, xr, oh, ow,
-                         ConvAlgo::kIm2col);
+                         ConvAlgo::kGemm);
     conv2d_backward_filter(xbuf, Origin2{-p.ph, -p.pw}, dy, Origin2{0, 0}, dw,
-                           p, yr, false, ConvAlgo::kIm2col);
+                           p, yr, false, ConvAlgo::kGemm);
   };
   Tensor<float> y1(Shape4{cfg.n, cfg.f, oh, ow}), y8(y1.shape());
   Tensor<float> dx1(x.shape()), dx8(x.shape());
@@ -292,7 +296,7 @@ TEST_P(BackwardDataStripSweep, BoundaryRowReuseMatchesOracle) {
   conv2d_backward_data_padded(dy, w, dx_ref, p);
   Tensor<float> dx(dx_ref.shape());
   conv2d_backward_data(dy, Origin2{0, 0}, w, dx, Origin2{0, 0}, p, xr, oh, ow,
-                       ConvAlgo::kIm2col);
+                       ConvAlgo::kGemm);
   for (std::int64_t i = 0; i < dx.size(); ++i) {
     ASSERT_NEAR(dx.data()[i], dx_ref.data()[i],
                 1e-3f * std::max(1.0f, std::abs(dx_ref.data()[i])))
@@ -304,9 +308,9 @@ TEST_P(BackwardDataStripSweep, BoundaryRowReuseMatchesOracle) {
   Tensor<float> dx_split(dx_ref.shape());
   const std::int64_t cut = cfg.h / 3;
   conv2d_backward_data(dy, Origin2{0, 0}, w, dx_split, Origin2{0, 0}, p,
-                       Range2{0, cut, 0, cfg.w}, oh, ow, ConvAlgo::kIm2col);
+                       Range2{0, cut, 0, cfg.w}, oh, ow, ConvAlgo::kGemm);
   conv2d_backward_data(dy, Origin2{0, 0}, w, dx_split, Origin2{0, 0}, p,
-                       Range2{cut, cfg.h, 0, cfg.w}, oh, ow, ConvAlgo::kIm2col);
+                       Range2{cut, cfg.h, 0, cfg.w}, oh, ow, ConvAlgo::kGemm);
   EXPECT_EQ(0, std::memcmp(dx.data(), dx_split.data(),
                            dx.size() * sizeof(float)));
 
@@ -316,7 +320,7 @@ TEST_P(BackwardDataStripSweep, BoundaryRowReuseMatchesOracle) {
   {
     parallel::ThreadGuard guard(8);
     conv2d_backward_data(dy, Origin2{0, 0}, w, dx8, Origin2{0, 0}, p, xr, oh,
-                         ow, ConvAlgo::kIm2col);
+                         ow, ConvAlgo::kGemm);
   }
   EXPECT_EQ(0, std::memcmp(dx.data(), dx8.data(), dx.size() * sizeof(float)));
 }
@@ -324,24 +328,181 @@ TEST_P(BackwardDataStripSweep, BoundaryRowReuseMatchesOracle) {
 TEST(ConvAlgoHeuristic, AutoResolvesOnLayerConstantsOnly) {
   const ConvParams deep{3, 3, 1, 1, 1, 1};
   // 64·3·3 = 576 deep, 64 filters: GEMM territory.
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, deep, 64, 64), ConvAlgo::kIm2col);
+  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, deep, 64, 64), ConvAlgo::kGemm);
   // 3·3·3 = 27 shallow first layer: direct.
   EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, deep, 3, 64), ConvAlgo::kDirect);
-  // Few filters: packing traffic is never amortized.
+  // Few filters leave the register tile idle.
   EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, deep, 64, 4), ConvAlgo::kDirect);
-  // Deep 1×1 stride-1 unpadded: the GEMM class without the lowering.
+  // Deep 1×1 layers, strided or not, are GEMM-class too.
   const ConvParams one{1, 1, 1, 1, 0, 0};
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, one, 256, 64),
-            ConvAlgo::kGemmStrips);
-  // A strided 1×1 still needs the pack: im2col.
+  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, one, 256, 64), ConvAlgo::kGemm);
   const ConvParams one_s2{1, 1, 2, 2, 0, 0};
   EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, one_s2, 256, 64),
-            ConvAlgo::kIm2col);
+            ConvAlgo::kGemm);
   // A shallow 1×1 (depth 16) stays below the cutoff: direct.
   EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, one, 16, 64), ConvAlgo::kDirect);
   // Explicit choices pass through untouched.
   EXPECT_EQ(resolve_conv_algo(ConvAlgo::kDirect, deep, 64, 64), ConvAlgo::kDirect);
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kIm2col, deep, 3, 4), ConvAlgo::kIm2col);
+  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kGemm, deep, 3, 4), ConvAlgo::kGemm);
+}
+
+TEST(ConvAlgoHeuristic, NamesRoundTrip) {
+  for (const ConvAlgo algo : {ConvAlgo::kDirect, ConvAlgo::kGemm, ConvAlgo::kAuto}) {
+    ConvAlgo parsed = ConvAlgo::kAuto;
+    ASSERT_TRUE(parse_conv_algo(conv_algo_name(algo), &parsed));
+    EXPECT_EQ(parsed, algo);
+  }
+  ConvAlgo parsed = ConvAlgo::kAuto;
+  EXPECT_FALSE(parse_conv_algo("im2col", &parsed));
+  EXPECT_FALSE(parse_conv_algo("winograd", &parsed));
+}
+
+// ---------------------------------------------------------------------------
+// Reference lowering: materialise im2col(x) and run the tiled sgemm on it.
+// kGemm gathers the same operand straight from the haloed buffer, so these
+// references pin its bits:
+//   forward:          out (F × rows) = W · im2col(x), per sample;
+//   backward-filter:  dw += dy · im2col(x)ᵀ, one sgemm(beta = 1) per
+//                     (sample, gemm_strip_height strip) — the strip is one
+//                     accumulation chain of dw.
+// ---------------------------------------------------------------------------
+
+/// Lower the receptive fields of `r` into a (C·Kh·Kw) × (rows) matrix, rows
+/// ordered (h, w) within the range, for one sample.
+std::vector<float> im2col(const Tensor<float>& x, Origin2 xo,
+                          std::int64_t sample, const ConvParams& p,
+                          const Range2& r) {
+  const std::int64_t C = x.shape().c;
+  const std::int64_t rows = r.area();
+  std::vector<float> col(static_cast<std::size_t>(C * p.kh * p.kw * rows));
+  float* dst = col.data();
+  for (std::int64_t c = 0; c < C; ++c) {
+    for (int a = 0; a < p.kh; ++a) {
+      for (int b = 0; b < p.kw; ++b) {
+        for (std::int64_t gh = r.h0; gh < r.h1; ++gh) {
+          for (std::int64_t gw = r.w0; gw < r.w1; ++gw) {
+            *dst++ = x(sample, c, gh * p.sh - p.ph + a - xo.h,
+                       gw * p.sw - p.pw + b - xo.w);
+          }
+        }
+      }
+    }
+  }
+  return col;
+}
+
+void reference_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
+                       Tensor<float>& y, Origin2 yo, const ConvParams& p,
+                       const Range2& r) {
+  const std::int64_t F = w.shape().n;
+  const std::int64_t ckk = w.shape().c * p.kh * p.kw;
+  const std::int64_t rows = r.area();
+  std::vector<float> out(static_cast<std::size_t>(F * rows));
+  for (std::int64_t k = 0; k < y.shape().n; ++k) {
+    const std::vector<float> col = im2col(x, xo, k, p, r);
+    sgemm(false, false, F, rows, ckk, 1.0f, w.data(), ckk, col.data(), rows,
+          0.0f, out.data(), rows);
+    for (std::int64_t f = 0; f < F; ++f) {
+      const float* src = out.data() + f * rows;
+      for (std::int64_t gh = r.h0; gh < r.h1; ++gh) {
+        for (std::int64_t gw = r.w0; gw < r.w1; ++gw) {
+          y(k, f, gh - yo.h, gw - yo.w) = *src++;
+        }
+      }
+    }
+  }
+}
+
+void reference_backward_filter(const Tensor<float>& x, Origin2 xo,
+                               const Tensor<float>& dy, Origin2 dyo,
+                               Tensor<float>& dw, const ConvParams& p,
+                               const Range2& r) {
+  const std::int64_t F = dw.shape().n;
+  const std::int64_t ckk = dw.shape().c * p.kh * p.kw;
+  const std::int64_t hb = gemm_strip_height(ckk, r.w1 - r.w0);
+  for (std::int64_t k = 0; k < dy.shape().n; ++k) {
+    for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
+      const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
+      const std::int64_t rows = rs.area();
+      const std::vector<float> col = im2col(x, xo, k, p, rs);
+      std::vector<float> dyp;
+      for (std::int64_t f = 0; f < F; ++f) {
+        for (std::int64_t gh = rs.h0; gh < rs.h1; ++gh) {
+          for (std::int64_t gw = rs.w0; gw < rs.w1; ++gw) {
+            dyp.push_back(dy(k, f, gh - dyo.h, gw - dyo.w));
+          }
+        }
+      }
+      sgemm(false, true, F, ckk, rows, 1.0f, dyp.data(), rows, col.data(), rows,
+            1.0f, dw.data(), ckk);
+    }
+  }
+}
+
+struct RefCase {
+  const char* name;
+  std::int64_t n, c, h, w, f;
+  int k, s;
+  Range2 range;       ///< output range (empty = the full output)
+  int min_strips = 1;  ///< backward-filter strips the range must span
+};
+
+std::ostream& operator<<(std::ostream& os, const RefCase& rc) { return os << rc.name; }
+
+class GemmReference : public ::testing::TestWithParam<RefCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmReference,
+    ::testing::Values(
+        // mesh conv1_1: 5×5/2, C=18 → C·Kh·Kw = 450 crosses a 256-wide k block.
+        RefCase{"conv1_1", 2, 18, 40, 36, 16, 5, 2, {}},
+        // F = 20 spans two 16-wide strips; F = 10 pads one.
+        RefCase{"f20", 2, 8, 11, 13, 20, 3, 1, {}},
+        RefCase{"f10", 1, 40, 9, 9, 10, 3, 1, {}},
+        // Strided 1×1 and a 1-wide boundary column.
+        RefCase{"one_by_one_s2", 3, 64, 10, 14, 24, 1, 2, {}},
+        RefCase{"one_wide", 2, 18, 20, 20, 16, 5, 2, {1, 9, 9, 10}},
+        // 7 × 5 = 35 positions per sample: not a multiple of the 6-row tile.
+        RefCase{"odd_rows", 1, 12, 7, 5, 16, 3, 1, {}},
+        // C·Kh·Kw = 1152 over 40-wide rows: 11-row strips, so a 24-row
+        // range runs three accumulation chains per sample.
+        RefCase{"strips", 2, 128, 24, 40, 16, 3, 1, {}, 3}));
+
+TEST_P(GemmReference, BitwiseEqualsLowering) {
+  const RefCase rc = GetParam();
+  const ConvParams p{rc.k, rc.k, rc.s, rc.s, rc.k / 2, rc.k / 2};
+  Tensor<float> x(Shape4{rc.n, rc.c, rc.h, rc.w});
+  Tensor<float> w(Shape4{rc.f, rc.c, rc.k, rc.k});
+  Rng rng(1009);
+  x.fill_uniform(rng);
+  w.fill_uniform(rng);
+  const Tensor<float> xbuf = make_padded_buffer(x, p.ph, p.pw);
+  const Origin2 xo{-p.ph, -p.pw};
+  const Shape4 ys{rc.n, rc.f, p.out_h(rc.h), p.out_w(rc.w)};
+  const Range2 r = rc.range.empty() ? Range2{0, ys.h, 0, ys.w} : rc.range;
+  Tensor<float> dy(ys);
+  dy.fill_uniform(rng);
+  const std::int64_t ckk = rc.c * rc.k * rc.k;
+  ASSERT_GE(ceil_div(r.h1 - r.h0, gemm_strip_height(ckk, r.w1 - r.w0)),
+            rc.min_strips);
+
+  Tensor<float> y_ref(ys), dw_ref(w.shape());
+  reference_forward(xbuf, xo, w, y_ref, Origin2{0, 0}, p, r);
+  dw_ref.fill(0.5f);  // accumulate onto a non-zero gradient
+  reference_backward_filter(xbuf, xo, dy, Origin2{0, 0}, dw_ref, p, r);
+
+  for (const int threads : {1, 8}) {
+    parallel::ThreadGuard guard(threads);
+    Tensor<float> y(ys), dw(w.shape());
+    conv2d_forward(xbuf, xo, w, y, Origin2{0, 0}, p, r, ConvAlgo::kGemm);
+    dw.fill(0.5f);
+    conv2d_backward_filter(xbuf, xo, dy, Origin2{0, 0}, dw, p, r,
+                           /*accumulate=*/true, ConvAlgo::kGemm);
+    EXPECT_EQ(0, std::memcmp(y.data(), y_ref.data(), y.size() * sizeof(float)))
+        << threads << " threads: forward";
+    EXPECT_EQ(0, std::memcmp(dw.data(), dw_ref.data(), dw.size() * sizeof(float)))
+        << threads << " threads: backward-filter";
+  }
 }
 
 TEST(ConvNaN, BackwardPathsPropagateNaN) {
@@ -354,7 +515,7 @@ TEST(ConvNaN, BackwardPathsPropagateNaN) {
   Tensor<float> w(Shape4{1, 1, 3, 3});  // all-zero weights
   Tensor<float> x(Shape4{1, 1, 5, 5});  // all-zero activations
   dy(0, 0, 2, 2) = std::numeric_limits<float>::quiet_NaN();
-  for (const ConvAlgo algo : {ConvAlgo::kDirect, ConvAlgo::kIm2col}) {
+  for (const ConvAlgo algo : {ConvAlgo::kDirect, ConvAlgo::kGemm}) {
     Tensor<float> dx(Shape4{1, 1, 5, 5});
     conv2d_backward_data(dy, Origin2{0, 0}, w, dx, Origin2{0, 0}, p,
                          Range2{0, 5, 0, 5}, 5, 5, algo);

@@ -275,17 +275,44 @@ TEST(InferenceObjective, NodeCostDropsBackpropTerms) {
   OptimizerOptions train_opt;
   OptimizerOptions serve_opt;
   serve_opt.objective = Objective::kInference;
+  const auto live = spec.gradient_liveness();
   const ProcessGrid grid{1, 1, 2, 2};
   for (int i = 0; i < spec.size(); ++i) {
-    const double train = layer_node_cost(spec, i, shapes, grid, kMachine,
+    const double train = layer_node_cost(spec, i, shapes, live, grid, kMachine,
                                          train_opt);
-    const double serve = layer_node_cost(spec, i, shapes, grid, kMachine,
+    const double serve = layer_node_cost(spec, i, shapes, live, grid, kMachine,
                                          serve_opt);
     EXPECT_LE(serve, train) << "layer " << i;
     if (train > 0.0 && conv_desc(spec, i, shapes).has_value()) {
       EXPECT_LT(serve, train) << "conv layer " << i
                               << " must shed its backward terms";
     }
+  }
+}
+
+TEST(NodeCost, FirstConvPricesWhatNetworkCostPrices) {
+  // The stem conv's input port is dead: it runs backward-filter only. The
+  // optimizer's node cost must price exactly the terms network_cost charges
+  // for it — no backward-data, no dL/dy halo.
+  const auto spec = models::make_mesh_model_1k(2);
+  const auto shapes = spec.infer_shapes();
+  const auto live = spec.gradient_liveness();
+  const int stem = models::layer_index(spec, "conv1_1");
+  ASSERT_FALSE(live.ports[stem][0]);
+  const auto compute = default_compute_model(kMachine);
+  for (const ProcessGrid grid :
+       {ProcessGrid{2, 1, 2, 2}, ProcessGrid{1, 1, 4, 2}, ProcessGrid{2, 4, 1, 1}}) {
+    OptimizerOptions opt;
+    const auto cost = network_cost(
+        spec, core::Strategy::uniform(spec.size(), grid), kMachine,
+        opt.cost_options, compute.get());
+    const LayerCost& c = *cost.layers[stem];
+    EXPECT_EQ(c.bpx_compute, 0.0) << grid.str();
+    const bool overlap = opt.cost_options.overlap_halo;
+    EXPECT_DOUBLE_EQ(layer_node_cost(spec, stem, shapes, live, grid, kMachine,
+                                     opt, compute.get()),
+                     c.fp(overlap) + c.bp(overlap))
+        << grid.str();
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "serve/batcher.hpp"
@@ -143,15 +144,50 @@ TEST(Batcher, EnvKnobsParse) {
   EXPECT_EQ(opts.max_delay_us, 2500);
   EXPECT_EQ(opts.max_queue, 99);
   EXPECT_EQ(opts.deadline_us, 7000);
-  setenv("DC_SERVE_MAX_BATCH", "not-a-number", 1);
-  setenv("DC_SERVE_MAX_QUEUE", "-4", 1);
+  unsetenv("DC_SERVE_MAX_BATCH");
   unsetenv("DC_SERVE_MAX_DELAY_US");
+  unsetenv("DC_SERVE_MAX_QUEUE");
   unsetenv("DC_SERVE_DEADLINE_US");
-  const BatcherOptions fallback = batcher_options_from_env();
-  EXPECT_EQ(fallback.max_batch, BatcherOptions{}.max_batch);
-  EXPECT_EQ(fallback.max_delay_us, BatcherOptions{}.max_delay_us);
-  EXPECT_EQ(fallback.max_queue, BatcherOptions{}.max_queue);
-  EXPECT_EQ(fallback.deadline_us, BatcherOptions{}.deadline_us);
+  const BatcherOptions defaults = batcher_options_from_env();
+  EXPECT_EQ(defaults.max_batch, BatcherOptions{}.max_batch);
+  EXPECT_EQ(defaults.max_delay_us, BatcherOptions{}.max_delay_us);
+  EXPECT_EQ(defaults.max_queue, BatcherOptions{}.max_queue);
+  EXPECT_EQ(defaults.deadline_us, BatcherOptions{}.deadline_us);
+}
+
+TEST(Batcher, IntKnobsRejectGarbage) {
+  // A typo must fail loudly, naming the knob, instead of silently running
+  // on the default.
+  for (const char* bad : {"abc", "-5", "12x", "1.5", "99999999999999999999"}) {
+    setenv("DC_SERVE_MAX_BATCH", bad, 1);
+    try {
+      batcher_options_from_env();
+      ADD_FAILURE() << "DC_SERVE_MAX_BATCH=" << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("DC_SERVE_MAX_BATCH"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // int-typed knobs also reject values their field cannot hold.
+  setenv("DC_SERVE_MAX_BATCH", "4294967296", 1);
+  EXPECT_THROW(batcher_options_from_env(), Error);
+  unsetenv("DC_SERVE_MAX_BATCH");
+  setenv("DC_SERVE_MAX_QUEUE", "-4", 1);
+  EXPECT_THROW(batcher_options_from_env(), Error);
+  unsetenv("DC_SERVE_MAX_QUEUE");
+  setenv("DC_SERVE_REPLICAS", "two", 1);
+  EXPECT_THROW(serve_options_from_env(), Error);
+  setenv("DC_SERVE_SLO_P99_US", "-1", 1);
+  unsetenv("DC_SERVE_REPLICAS");
+  EXPECT_THROW(serve_options_from_env(), Error);
+  unsetenv("DC_SERVE_SLO_P99_US");
+  // Zero stays valid (max_queue 0 = unbounded, max_batch clamps to 1).
+  setenv("DC_SERVE_MAX_BATCH", "0", 1);
+  setenv("DC_SERVE_MAX_QUEUE", "0", 1);
+  const BatcherOptions zero = batcher_options_from_env();
+  EXPECT_EQ(zero.max_batch, 1);
+  EXPECT_EQ(zero.max_queue, 0);
   unsetenv("DC_SERVE_MAX_BATCH");
   unsetenv("DC_SERVE_MAX_QUEUE");
 }
