@@ -1,10 +1,10 @@
 // Allreduce/backprop overlap ablation: run the *same* training step with the
-// gradient completion ops enqueued after backprop and drained at once (no
-// background driver) and with them enqueued per layer as backprop retires
-// each one (ModelOptions::overlap_allreduce), and compare the measured
-// hidden fraction of the allreduce time against the §V-B greedy model's
-// estimate ("we estimate allreduce overlap … greedily; only one allreduce at
-// a time is considered to run") on mesh-like strong-scaling configurations.
+// gradient completion ops enqueued after backprop and drained at once, and
+// with them enqueued per layer as backprop retires each one
+// (ModelOptions::overlap_allreduce); compare the measured hidden fraction of
+// the allreduce time against the §V-B greedy model's estimate ("we estimate
+// allreduce overlap … greedily; only one allreduce at a time is considered
+// to run") on mesh-like strong-scaling configurations.
 //
 //   hidden (measured)  = 1 − exposed / t_complete, where both terms are the
 //                        post-backprop gradient-completion time *inside* the
@@ -54,18 +54,11 @@ core::NetworkSpec mesh_tower(const Shape4& in_shape) {
   return nb.take();
 }
 
-/// Progress-mode sweep for the overlapped engine (the flipped-default
-/// justification lives in the thread-vs-off delta).
-constexpr comm::ProgressMode kModes[] = {comm::ProgressMode::kOff,
-                                         comm::ProgressMode::kThread,
-                                         comm::ProgressMode::kHooks};
-constexpr int kNumModes = 3;
-
 struct Measured {
   double step_block = 0;  ///< blocking full step (max over ranks)
   double complete = 0;    ///< in-step blocking completion phase (max)
-  double step_olap[kNumModes] = {0, 0, 0};  ///< overlapped step per mode
-  double exposed[kNumModes] = {0, 0, 0};    ///< engine drain tail per mode
+  double step_olap = 0;   ///< overlapped full step (max)
+  double exposed = 0;     ///< overlapped engine drain tail (max)
 };
 
 Measured run_case(const core::NetworkSpec& spec, const core::Strategy& strategy,
@@ -79,7 +72,6 @@ Measured run_case(const core::NetworkSpec& spec, const core::Strategy& strategy,
 
     core::ModelOptions block_opts;
     block_opts.overlap_allreduce = false;
-    block_opts.comm_progress = comm::ProgressMode::kOff;
     core::Model block(spec, comm, strategy, 7, block_opts);
     Tensor<float> targets(block.rt(block.output_layer()).out_shape);
     Rng trng(4);
@@ -92,8 +84,8 @@ Measured run_case(const core::NetworkSpec& spec, const core::Strategy& strategy,
       model.backward();
     };
 
-    // Each mode: time full steps and accumulate the in-step completion
-    // phase (blocking sweep vs engine drain) over the same iterations.
+    // Time full steps and accumulate the in-step completion phase (blocking
+    // sweep vs engine drain) over the same iterations.
     auto measure = [&](core::Model& model, double& t_step, double& t_done) {
       for (int i = 0; i < warmup; ++i) step(model);
       t_step = 0;
@@ -115,19 +107,16 @@ Measured run_case(const core::NetworkSpec& spec, const core::Strategy& strategy,
       m.complete = t_complete;
     }
 
-    for (int k = 0; k < kNumModes; ++k) {
-      core::ModelOptions olap_opts;
-      olap_opts.overlap_allreduce = true;
-      olap_opts.comm_progress = kModes[k];
-      core::Model olap(spec, comm, strategy, 7, olap_opts);
-      double t_olap = 0, t_exposed = 0;
-      measure(olap, t_olap, t_exposed);
-      comm::allreduce(comm, &t_olap, 1, comm::ReduceOp::kMax);
-      comm::allreduce(comm, &t_exposed, 1, comm::ReduceOp::kMax);
-      if (comm.rank() == 0) {
-        m.step_olap[k] = t_olap;
-        m.exposed[k] = t_exposed;
-      }
+    core::ModelOptions olap_opts;
+    olap_opts.overlap_allreduce = true;
+    core::Model olap(spec, comm, strategy, 7, olap_opts);
+    double t_olap = 0, t_exposed = 0;
+    measure(olap, t_olap, t_exposed);
+    comm::allreduce(comm, &t_olap, 1, comm::ReduceOp::kMax);
+    comm::allreduce(comm, &t_exposed, 1, comm::ReduceOp::kMax);
+    if (comm.rank() == 0) {
+      m.step_olap = t_olap;
+      m.exposed = t_exposed;
     }
   });
   return m;
@@ -179,14 +168,12 @@ int main(int argc, char** argv) {
       {"hybrid 2x(2x1)", ProcessGrid{2, 1, 2, 1}},
   };
 
-  std::printf("%-16s %-8s %-11s %-11s %-11s %-11s %-9s %-9s\n", "strategy",
-              "progress", "step block", "step olap", "complete", "exposed",
-              "hidden", "hidden*");
-  std::printf("%-16s %-8s %-11s %-11s %-11s %-11s %-9s %-9s\n", "", "mode",
-              "(ms)", "(ms)", "(ms)", "(ms)", "(meas)", "(model)");
+  std::printf("%-16s %-11s %-11s %-11s %-11s %-9s %-9s\n", "strategy",
+              "step block", "step olap", "complete", "exposed", "hidden",
+              "hidden*");
+  std::printf("%-16s %-11s %-11s %-11s %-11s %-9s %-9s\n", "", "(ms)", "(ms)",
+              "(ms)", "(ms)", "(meas)", "(model)");
   bool any_hidden = false;
-  int thread_improves = 0;
-  double best_delta = 0;
   for (const auto& c : cases) {
     const core::Strategy strategy =
         core::Strategy::uniform(spec.size(), c.grid);
@@ -205,32 +192,18 @@ int main(int argc, char** argv) {
     const double hidden_pred =
         ar_pred > 0 ? 1.0 - cost_on.allreduce_exposed / ar_pred : 1.0;
 
-    double hidden[kNumModes] = {0, 0, 0};
-    for (int k = 0; k < kNumModes; ++k) {
-      hidden[k] = m.complete > 0
-                      ? std::clamp(1.0 - m.exposed[k] / m.complete, 0.0, 1.0)
-                      : 1.0;
-      if (hidden[k] > 0.5) any_hidden = true;
-      std::printf("%-16s %-8s %-11.3f %-11.3f %-11.3f %-11.3f %-9.2f %-9.2f\n",
-                  k == 0 ? c.name : "", comm::to_string(kModes[k]),
-                  m.step_block * 1e3, m.step_olap[k] * 1e3, m.complete * 1e3,
-                  m.exposed[k] * 1e3, hidden[k], hidden_pred);
-    }
-    // kModes[1] is the dedicated progress thread, kModes[0] the
-    // layer-boundary-only baseline the default used to be.
-    if (hidden[1] > hidden[0]) {
-      ++thread_improves;
-      best_delta = std::max(best_delta, hidden[1] - hidden[0]);
-    }
+    const double hidden =
+        m.complete > 0 ? std::clamp(1.0 - m.exposed / m.complete, 0.0, 1.0)
+                       : 1.0;
+    if (hidden > 0.5) any_hidden = true;
+    std::printf("%-16s %-11.3f %-11.3f %-11.3f %-11.3f %-9.2f %-9.2f\n",
+                c.name, m.step_block * 1e3, m.step_olap * 1e3,
+                m.complete * 1e3, m.exposed * 1e3, hidden, hidden_pred);
   }
   std::printf("\nhidden  = fraction of the blocking completion phase the "
               "engine hid behind backprop compute\nhidden* = the greedy "
               "single-channel model's estimate (network_cost overlap on vs "
               "off)\n");
-  std::printf("progress thread raised the hidden fraction over "
-              "layer-boundary-only progress on %d/%zu strategies "
-              "(best +%.2f)\n",
-              thread_improves, cases.size(), best_delta);
   if (!any_hidden) {
     std::printf("warning: no configuration hid most of its allreduce time — "
                 "expected on an oversubscribed/noisy host, rerun on a quiet "
@@ -240,8 +213,8 @@ int main(int argc, char** argv) {
   // --- registry-derived step attribution -----------------------------------
   // The same overlap story told by the observability registry: a short
   // instrumented training run on the spatial grid, then the per-rank
-  // compute / exposed-comm / completion-tail split and the owner-vs-
-  // background retirement counters straight from the metrics snapshot.
+  // compute / exposed-comm / completion-tail split straight from the
+  // metrics snapshot.
   {
     const bool metrics_were_on = obs::metrics::enabled();
     obs::metrics::set_enabled(true);
@@ -278,14 +251,6 @@ int main(int argc, char** argv) {
                   100.0 * compute / wall, 100.0 * exposed / wall,
                   100.0 * tail / wall);
     }
-    std::printf("engine retirements: background=%llu owner=%llu "
-                "(progress sweeps=%llu)\n",
-                static_cast<unsigned long long>(
-                    snap.counter_total("comm.ops.background")),
-                static_cast<unsigned long long>(
-                    snap.counter_total("comm.ops.owner")),
-                static_cast<unsigned long long>(
-                    snap.counter_total("comm.progress.sweeps")));
     if (!metrics_were_on) obs::metrics::set_enabled(false);
   }
   return 0;

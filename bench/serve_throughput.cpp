@@ -344,8 +344,6 @@ void write_json(const char* path, const Config& cfg, bool smoke,
   std::fprintf(f, "    \"requests\": %d,\n", cfg.requests);
   std::fprintf(f, "    \"arrival_rate_rps\": %.1f,\n", cfg.arrival_rate);
   std::fprintf(f, "    \"calibration\": \"lassen-builtin\",\n");
-  std::fprintf(f, "    \"dc_comm_progress\": \"%s\",\n",
-               comm::to_string(comm::progress_mode_from_env()));
   std::fprintf(f, "    \"strategy\": \"%s\"\n", strategy.str().c_str());
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"model_estimate\": {\n");

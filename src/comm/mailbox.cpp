@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/attribution.hpp"
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace distconv::comm {
@@ -13,20 +13,17 @@ namespace distconv::comm {
 namespace {
 
 std::atomic<std::int64_t>& timeout_store() {
-  static std::atomic<std::int64_t> value{[] {
-    const char* s = std::getenv("DC_COMM_TIMEOUT_MS");
-    if (s == nullptr || *s == '\0') return std::int64_t{0};
-    char* end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (end == s || *end != '\0' || v < 0) return std::int64_t{0};
-    return static_cast<std::int64_t>(v);
-  }()};
+  static std::atomic<std::int64_t> value{comm_timeout_ms_from_env()};
   return value;
 }
 
 thread_local const char* t_op_label = nullptr;
 
 }  // namespace
+
+std::int64_t comm_timeout_ms_from_env() {
+  return env_int("DC_COMM_TIMEOUT_MS", 0);
+}
 
 std::int64_t comm_timeout_ms() {
   return timeout_store().load(std::memory_order_relaxed);

@@ -33,6 +33,9 @@ namespace distconv::comm {
 /// <= 0 disables the watchdog (the default). Seeded once from
 /// DC_COMM_TIMEOUT_MS, overridable at runtime for tests and embedders.
 std::int64_t comm_timeout_ms();
+/// Reads DC_COMM_TIMEOUT_MS now: 0 when unset or empty; throws an Error
+/// naming the variable unless it is a non-negative integer.
+std::int64_t comm_timeout_ms_from_env();
 void set_comm_timeout_ms(std::int64_t ms);
 
 /// RAII watchdog override: sets the deadline for a scope and restores the

@@ -1,8 +1,8 @@
 // Collective operations as resumable state machines over the eager
 // point-to-point layer. Each op is the one implementation of its algorithm:
 // the blocking collectives in comm/collectives.hpp build the op and run() it
-// inline, and the CollectiveEngine below progresses the same op in the
-// background of compute.
+// inline, and the CollectiveEngine below advances the same op between the
+// owning rank's compute steps.
 //
 // Every blocking receive of the algorithm is a posted irecv plus a
 // resumption point. Sends are eager (they complete on return), so an op only
@@ -146,8 +146,8 @@ class NbOp {
   }
 
   /// Run the op to completion on the calling thread, outside any engine:
-  /// the body of the blocking collectives. Records no comm.op.* or
-  /// comm.ops.* counters — the blocking call's CollectiveScope counts it.
+  /// the body of the blocking collectives. Records no comm.op.* counters —
+  /// the blocking call's CollectiveScope counts it.
   void run() {
     DC_REQUIRE(!started_, "nonblocking op started twice");
     started_ = true;
@@ -167,9 +167,9 @@ class NbOp {
   virtual void block() = 0;
 
  private:
-  // Timed start → completion on whichever thread observes the retirement
-  // (owner drain or background progress driver; record_nb_op attributes
-  // which). obs_t0_ == 0 means timing was off when the op started.
+  // Timed start → completion, recorded by the owner's progress or drain
+  // call that retires the op. obs_t0_ == 0 means timing was off when the op
+  // started.
   void record_obs() {
     if (obs_t0_ != 0) {
       obs::record_nb_op(obs_label(), obs_t0_, obs_bytes_);

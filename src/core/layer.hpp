@@ -7,7 +7,6 @@
 // makes the SPMD execution thread-safe.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,7 +38,7 @@ enum class Mode { kTraining, kInference };
 /// Every halo refresh, shuffle, channel reduce-scatter and gradient sum of a
 /// Model runs as one resumable op on the Model's engine; results are bitwise
 /// identical under every combination of these options, which only choose
-/// when the ops are enqueued and drained, and who advances them.
+/// when the ops are enqueued and drained.
 struct ModelOptions {
   /// Enqueue a layer's input halo refresh before its interior compute and
   /// drain it before the boundary (§IV-A), instead of draining it first.
@@ -49,16 +48,9 @@ struct ModelOptions {
   /// executable form of the cost model's greedy allreduce overlap — instead
   /// of enqueueing every layer's after backprop and draining at once.
   bool overlap_allreduce = true;
-  /// Who advances in-flight ops while kernels run: a dedicated progress
-  /// thread, parallel_for chunk-boundary hooks, or, for kOff, no background
-  /// driver (ops then advance only when the owning rank polls or drains).
-  /// Default: DC_COMM_PROGRESS, "thread" when unset.
+  /// One-value field kept for perfbench (see comm/progress.hpp). Its
+  /// default raises on a stale DC_COMM_PROGRESS.
   comm::ProgressMode comm_progress = comm::progress_mode_from_env();
-  /// Test-only: invoked after each layer's backward kernels retire (and its
-  /// gradient completions are enqueued), with the layer index. The overlap
-  /// stress tests inject artificial kernel time here to prove in-flight
-  /// rounds complete before the layer boundary.
-  std::function<void(int)> backward_layer_hook;
   float bn_epsilon = 1e-5f;
   float bn_momentum = 0.9f;
   /// Track batchnorm running statistics during training forwards (the EMA

@@ -208,8 +208,7 @@ void Conv2dLayer::forward_channel(Model& model, int index, LayerRt& rt) const {
   const SliceBlocks blocks = channel_slice_blocks(fpart, ys.n, ys.h, ys.w);
   scratch->pack.resize(blocks.total);
   // Lazy packing: block q is packed one ring step before its reduce, so the
-  // packing of later filter slices overlaps the rounds already in flight
-  // (and a background driver keeps those moving).
+  // packing of later filter slices overlaps the rounds already in flight.
   auto pack_block = [scratch, &fpart, ys, &blocks](int q) {
     if (blocks.counts[q] == 0) return;
     pack_box(scratch->y_partial, channel_slice_box(fpart, q, ys.n, ys.h, ys.w),
@@ -403,9 +402,10 @@ void Conv2dLayer::backward(Model& model, int index, LayerRt& rt) const {
   // filter-gradient kernel, which only reads the owned interior (§IV-A:
   // "exploit the task-level parallelism of backward data and filter
   // convolutions"). The refresh rides the wire channel behind whatever
-  // gradient ops later layers already enqueued, and a background driver can
-  // retire it (margin unpack included) mid-kernel. A dead port (no consumer
-  // of dL/dx) gives dy no margins, hence no halo: only backward-filter runs.
+  // gradient ops later layers already enqueued; its eager sends land during
+  // the kernel and the margin unpack runs at finish_refresh. A dead port (no
+  // consumer of dL/dx) gives dy no margins, hence no halo: only
+  // backward-filter runs.
   const std::uint64_t halo = model.post_refresh(rt.dy);
   if (!model.options().overlap_halo) model.finish_refresh(rt.dy, halo);
 

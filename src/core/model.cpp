@@ -144,8 +144,7 @@ class SmallGradBucketOp final : public comm::NbOp {
 
 Model::Model(const NetworkSpec& spec, comm::Comm& comm, const Strategy& strategy,
              std::uint64_t seed, ModelOptions opts)
-    : spec_(&spec), comm_(&comm), strategy_(strategy), opts_(std::move(opts)),
-      engine_(opts_.comm_progress) {
+    : spec_(&spec), comm_(&comm), strategy_(strategy), opts_(std::move(opts)) {
   DC_REQUIRE(static_cast<int>(strategy_.grids.size()) == spec.size(),
              "strategy has ", strategy_.grids.size(), " grids for ", spec.size(),
              " layers");
@@ -595,7 +594,6 @@ void Model::backward(bool accumulate, bool complete) {
     // single-channel schedule. Then poll so finished ops free the channel.
     if (overlap) enqueue_gradient_completion(i);
     engine_.progress();
-    if (opts_.backward_layer_hook) opts_.backward_layer_hook(i);
     if (timing) {
       const std::int64_t dur = obs::trace::now_ns() - lt0;
       layer_obs_[i].bwd_ns.add(static_cast<std::uint64_t>(dur));

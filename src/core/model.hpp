@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "comm/nonblocking.hpp"
-#include "comm/progress.hpp"
 #include "core/spec.hpp"
 #include "core/strategy.hpp"
 #include "kernels/losses.hpp"
@@ -71,10 +70,10 @@ class Model {
   /// The model's communication engine: gradient completions, pre-posted
   /// shuffles, halo refreshes and the channel-parallel forward's
   /// reduce-scatter all serialize onto this one wire channel (the cost
-  /// model's greedy single-op schedule), and a background driver keeps its
-  /// in-flight rounds advancing while kernels run (DC_COMM_PROGRESS).
-  comm::ProgressEngine& comm_engine() { return engine_; }
-  const comm::ProgressEngine& comm_engine() const { return engine_; }
+  /// model's greedy single-op schedule). Ops advance only in this rank's
+  /// enqueue/progress/drain calls.
+  comm::CollectiveEngine& comm_engine() { return engine_; }
+  const comm::CollectiveEngine& comm_engine() const { return engine_; }
 
   /// Enqueue a margin refresh of `a` on the engine when its margins are
   /// stale; returns the ticket for finish_refresh (0: nothing to refresh).
@@ -188,7 +187,7 @@ class Model {
   std::vector<std::optional<comm::Comm>> spatial_comms_;  // per layer
   std::vector<std::optional<comm::Comm>> channel_comms_;  // per layer, c > 1
   std::vector<std::optional<comm::Comm>> slice_comms_;    // per layer, c > 1
-  comm::ProgressEngine engine_;  ///< the model's single wire channel
+  comm::CollectiveEngine engine_;  ///< the model's single wire channel
   /// Cross-grid edges by producer: (consumer layer, port index) pairs whose
   /// forward shuffle is pre-posted the moment the producer's output is
   /// final, so the move overlaps every layer between producer and consumer.

@@ -1,6 +1,7 @@
 #include "core/snapshots.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "comm/collectives.hpp"
+#include "support/env.hpp"
 #include "support/logging.hpp"
 
 namespace distconv::core {
@@ -18,15 +20,6 @@ namespace fs = std::filesystem;
 
 constexpr const char* kPrefix = "ckpt-";
 constexpr const char* kSuffix = ".dckp";
-
-int env_int(const char* name, int fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return fallback;
-  return static_cast<int>(v);
-}
 
 /// Steps of all snapshot files in `dir`, unsorted. Unreadable directories
 /// yield an empty list (recovery then reports "nothing to restore").
@@ -59,8 +52,8 @@ std::vector<std::int64_t> list_steps(const std::string& dir) {
 SnapshotOptions snapshot_options_from_env(std::string dir) {
   SnapshotOptions options;
   options.dir = std::move(dir);
-  options.every = env_int("DC_CKPT_EVERY", 0);
-  options.keep = env_int("DC_CKPT_KEEP", 2);
+  options.every = static_cast<int>(env_int("DC_CKPT_EVERY", 0, INT_MAX));
+  options.keep = static_cast<int>(env_int("DC_CKPT_KEEP", 2, INT_MAX));
   return options;
 }
 

@@ -32,7 +32,8 @@ struct SnapshotOptions {
 };
 
 /// Options with `every` / `keep` read from DC_CKPT_EVERY / DC_CKPT_KEEP
-/// (defaults: 0 — disabled — and 2).
+/// (defaults: 0 — disabled — and 2). Each must be a non-negative integer;
+/// anything else throws an Error naming the variable.
 SnapshotOptions snapshot_options_from_env(std::string dir);
 
 class SnapshotManager {

@@ -8,8 +8,8 @@
 // micro-batches of N/M through a model built with batch N/M, gradients
 // accumulate locally, and the last micro-batch's backward completes the
 // step's gradient sums (overlapped with its backprop when the model's
-// overlap_allreduce option is on — the default — with the progress engine
-// driving the in-flight rounds during every micro-batch's kernels; the
+// overlap_allreduce option is on — the default — with the model's engine
+// advancing the in-flight rounds between every micro-batch's layers; the
 // non-completing micro-batches still overlap their shuffles and halo
 // refreshes through the same engine). With M = 1 this is a plain training step. Every strategy the engine executes —
 // sample, spatial, hybrid, and channel/filter-parallel (c > 1) grids —

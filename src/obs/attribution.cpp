@@ -11,7 +11,6 @@ namespace {
 
 thread_local WaitTotals t_wait_totals;
 thread_local bool t_tail_phase = false;
-thread_local bool t_background = false;
 
 // Trace events shorter than this are dropped (counters still see them) so
 // near-zero waits — a message that already arrived — don't flood the ring.
@@ -96,10 +95,6 @@ TailPhase::TailPhase() : prev_(t_tail_phase) { t_tail_phase = true; }
 TailPhase::~TailPhase() { t_tail_phase = prev_; }
 bool in_tail_phase() { return t_tail_phase; }
 
-BackgroundMark::BackgroundMark() : prev_(t_background) { t_background = true; }
-BackgroundMark::~BackgroundMark() { t_background = prev_; }
-bool in_background() { return t_background; }
-
 const CollCounters& coll_counters(const char* name) {
   return interned_counters("comm.coll.", name);
 }
@@ -127,19 +122,14 @@ void record_nb_op(const char* label, std::int64_t t0_ns, std::uint64_t bytes) {
   cc.count.inc();
   cc.bytes.add(bytes);
   cc.ns.add(dur > 0 ? static_cast<std::uint64_t>(dur) : 0);
-  static const metrics::Counter background =
-      metrics::counter("comm.ops.background");
-  static const metrics::Counter owner = metrics::counter("comm.ops.owner");
-  (t_background ? background : owner).inc();
   if (trace::enabled()) {
     // A nonblocking op lives from enqueue to retirement, crossing whatever
     // spans the retiring thread opened in between — a complete ('X') event
     // here would overlap those spans without nesting. Mark the retirement as
     // an instant and carry the in-flight duration as an arg instead.
-    trace::Arg args[3] = {{"bytes", static_cast<double>(bytes)},
-                          {"inflight_us", static_cast<double>(dur) / 1e3},
-                          {"background", t_background ? 1.0 : 0.0}};
-    trace::emit_instant(label, "comm", args, 3);
+    trace::Arg args[2] = {{"bytes", static_cast<double>(bytes)},
+                          {"inflight_us", static_cast<double>(dur) / 1e3}};
+    trace::emit_instant(label, "comm", args, 2);
   }
 }
 

@@ -70,21 +70,6 @@ class TailPhase {
 };
 bool in_tail_phase();
 
-/// Marks work done by the background progress driver (dedicated thread or
-/// parallel_for hooks) so nonblocking-op retirements can be attributed
-/// owner vs background.
-class BackgroundMark {
- public:
-  BackgroundMark();
-  ~BackgroundMark();
-  BackgroundMark(const BackgroundMark&) = delete;
-  BackgroundMark& operator=(const BackgroundMark&) = delete;
-
- private:
-  bool prev_;
-};
-bool in_background();
-
 /// Interned per-collective instruments, created once per call site via a
 /// function-local static (see CollectiveScope): count, bytes moved, and
 /// cumulative duration.
@@ -129,9 +114,9 @@ class CollectiveScope {
 };
 
 /// Record a retired nonblocking op (called from NbOp when the op completes):
-/// comm.op.<label>.* plus the owner/background retirement counters and a
-/// trace instant at retirement carrying the in-flight duration, since a
-/// start..completion span would cross the retiring thread's other spans.
+/// comm.op.<label>.* plus a trace instant at retirement carrying the
+/// in-flight duration, since a start..completion span would cross the
+/// retiring thread's other spans.
 void record_nb_op(const char* label, std::int64_t t0_ns, std::uint64_t bytes);
 
 }  // namespace distconv::obs

@@ -78,7 +78,7 @@ void add_named(const std::string& name, std::uint64_t v);
 void inc_named(const std::string& name);
 
 /// Point-in-time merge of every shard, grouped by rank (-1 = threads that
-/// never carried a rank: the progress thread, pool workers, test drivers).
+/// never carried a rank: pool workers, test drivers).
 struct Snapshot {
   struct Hist {
     std::uint64_t count = 0;

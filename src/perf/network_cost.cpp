@@ -246,7 +246,7 @@ NetworkCost network_cost(const core::NetworkSpec& spec,
   }
 
   // Backward pass: compute runs layer by layer in reverse; gradient
-  // allreduces — and, with the progress engine, the backward-direction
+  // allreduces — and, with overlap_shuffle, the backward-direction
   // shuffles — queue on a single channel and overlap with subsequent
   // compute ("we estimate allreduce overlap ... greedily; only one allreduce
   // at a time is considered to run"). A consumer's error shuffle is

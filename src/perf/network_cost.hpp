@@ -17,7 +17,7 @@ namespace distconv::perf {
 struct NetworkCostOptions {
   bool overlap_halo = true;       ///< §IV-A interior/boundary overlap
   bool overlap_allreduce = true;  ///< hide BP_ℓ^a behind backprop compute
-  /// Backward-direction redistribution shuffles ride the progress engine's
+  /// Backward-direction redistribution shuffles ride the model engine's
   /// single wire channel alongside the gradient allreduces (the executable
   /// engine defers each cross-grid edge's error move until its consumer
   /// layer runs, hiding the rounds behind the backprop in between). Forward

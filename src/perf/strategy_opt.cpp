@@ -22,8 +22,8 @@ double shuffle_cost(const Shape4& shape, const ProcessGrid& from,
                        ceil_ratio(shape.c, from.c) * ceil_ratio(shape.h, from.h) *
                        ceil_ratio(shape.w, from.w);
   // Training redistributes activations forward and error signals backward; a
-  // forward-only serving pass shuffles once. With the progress engine
-  // (overlap_shuffle), the backward move rides the gradient wire channel and
+  // forward-only serving pass shuffles once. With overlap_shuffle, the
+  // backward move rides the gradient wire channel and
   // hides behind backprop compute, so — like the §IV-A halo terms under
   // overlap — the edge weight optimistically prices the exposed direction
   // only, and mixed-grid strategies stop being double-taxed.

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <climits>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 
 #include "obs/attribution.hpp"
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace distconv::serve {
@@ -22,32 +19,6 @@ std::atomic<std::uint64_t> g_next_request_id{1};
 void emit_req_instant(const char* name, std::uint64_t id) {
   const obs::trace::Arg args[] = {{"req", static_cast<double>(id)}};
   obs::trace::emit_instant(name, "serve", args, 1);
-}
-
-std::int64_t env_int(const char* name, std::int64_t fallback,
-                     std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s, &end, 10);
-  DC_REQUIRE(end != s && *end == '\0' && errno == 0 && v >= 0 && v <= max,
-             name, " must be an integer in [0, ", max, "], got \"", s, "\"");
-  return static_cast<std::int64_t>(v);
-}
-
-bool env_bool(const char* name, bool fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  if (std::strcmp(s, "1") == 0 || std::strcmp(s, "true") == 0 ||
-      std::strcmp(s, "on") == 0) {
-    return true;
-  }
-  if (std::strcmp(s, "0") == 0 || std::strcmp(s, "false") == 0 ||
-      std::strcmp(s, "off") == 0) {
-    return false;
-  }
-  DC_FAIL(name, " must be one of 1|true|on|0|false|off, got \"", s, "\"");
 }
 
 }  // namespace

@@ -261,12 +261,12 @@ struct LoopContext {
   }
 };
 
-/// Drains an in-flight engine broadcast on scope exit so a forward error
-/// can never unwind past the buffers a background progress driver still
-/// writes into. The happy path drains explicitly (to surface comm errors)
-/// and disarms.
+/// Drains an in-flight engine broadcast on scope exit: the engine still
+/// holds the op's pointers into the prefetch buffer, so a forward error must
+/// not unwind past that buffer with the op queued. The happy path drains
+/// explicitly (to surface comm errors) and disarms.
 struct EngineDrainGuard {
-  comm::ProgressEngine* engine = nullptr;
+  comm::CollectiveEngine* engine = nullptr;
   std::uint64_t ticket = 0;
 
   ~EngineDrainGuard() {
@@ -282,7 +282,7 @@ struct EngineDrainGuard {
 };
 
 /// Strict batching: the PR 4 loop plus variable-cost passes and the
-/// double-buffered next-batch broadcast on the model's progress engine.
+/// double-buffered next-batch broadcast on the model's comm engine.
 void strict_loop(LoopContext& ctx) {
   core::Model& model = *ctx.model;
   auto& comm = ctx.comm();
@@ -355,7 +355,8 @@ void strict_loop(LoopContext& ctx) {
 
     // Prefetch the next batch's payload behind this forward: greedy pop (it
     // must never stall the forward already formed), small header broadcast,
-    // then the packed input rides the progress engine while kernels run.
+    // then the packed input rides the model's engine, advancing at the
+    // forward's own engine calls.
     std::int64_t nheader[2] = {0, 1};
     EngineDrainGuard inflight;
     if (db) {

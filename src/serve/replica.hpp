@@ -11,7 +11,7 @@
 //   strict (default)  — a batch occupies the model until its costliest
 //     member finishes (forward runs max passes over the whole batch). The
 //     next batch's input broadcast is double-buffered behind the current
-//     forward on the model's progress engine (ServeOptions::double_buffer).
+//     forward on the model's comm engine (ServeOptions::double_buffer).
 //   continuous        — each slot frees the moment its own request finishes
 //     its passes and refills greedily from the queue, so a cheap request
 //     never waits out an expensive neighbour's tail.

@@ -55,7 +55,7 @@ struct ServeOptions {
   /// holds every slot until the whole batch finishes. DC_SERVE_CONTINUOUS.
   bool continuous = false;
   /// Double-buffer the next batch's rank-0 input broadcast behind the
-  /// current forward pass on the model's progress engine (strict batching
+  /// current forward pass on the model's comm engine (strict batching
   /// only — continuous refills depend on which slots the current forward
   /// frees, so there is nothing to prefetch). DC_SERVE_DOUBLE_BUFFER.
   bool double_buffer = true;

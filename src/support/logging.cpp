@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "support/env.hpp"
+
 namespace distconv::log {
 namespace {
 
@@ -50,13 +52,15 @@ void init_from_env() {
                   " is not one of debug/info/warn/error/off; keeping default");
       }
     }
-    if (const char* r0 = std::getenv("DC_LOG_RANK0_ONLY")) {
-      set_rank0_only(r0[0] == '1' && r0[1] == '\0');
+    if (std::getenv("DC_LOG_RANK0_ONLY") != nullptr) {
+      set_rank0_only(rank0_only_from_env());
     }
     return true;
   }();
   (void)once;
 }
+
+bool rank0_only_from_env() { return env_bool("DC_LOG_RANK0_ONLY", false); }
 
 void set_rank0_only(bool on) {
   g_rank0_only.store(on, std::memory_order_relaxed);

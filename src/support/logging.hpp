@@ -16,9 +16,13 @@ Level level();
 /// false (and leaves `out` untouched) for anything else.
 bool parse_level(const std::string& name, Level* out);
 
-/// Read DC_LOG_LEVEL into set_level and DC_LOG_RANK0_ONLY=1 into
+/// Read DC_LOG_LEVEL into set_level and DC_LOG_RANK0_ONLY into
 /// set_rank0_only. Idempotent; World::run calls it before spawning ranks.
 void init_from_env();
+
+/// Reads DC_LOG_RANK0_ONLY now: false when unset or empty; throws an Error
+/// naming the variable unless it is one of 1|true|on|0|false|off.
+bool rank0_only_from_env();
 
 /// When on, messages from rank threads other than rank 0 are dropped
 /// (rank-less threads still log). For multi-rank runs where every rank

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/env.hpp"
 #include "support/intmath.hpp"
 
 namespace distconv::parallel {
@@ -18,21 +19,9 @@ namespace {
 
 std::atomic<int> g_override{0};
 std::atomic<int> g_rank_threads{1};
-std::atomic<ProgressHook> g_progress_hook{nullptr};
-
-void fire_progress_hook() {
-  if (ProgressHook hook = g_progress_hook.load(std::memory_order_acquire)) {
-    hook();
-  }
-}
 
 int env_threads() {
-  static const int cached = [] {
-    const char* s = std::getenv("DC_NUM_THREADS");
-    if (s == nullptr) return 0;
-    const int v = std::atoi(s);
-    return v > 0 ? v : 0;
-  }();
+  static const int cached = num_threads_from_env();
   return cached;
 }
 
@@ -71,8 +60,6 @@ struct Job {
       std::lock_guard<std::mutex> lock(m);
       if (!error) error = std::current_exception();
     }
-    // Chunk boundary: let the communication layer drive in-flight rounds.
-    fire_progress_hook();
     if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == num_chunks) {
       {
         std::lock_guard<std::mutex> lock(m);
@@ -164,6 +151,10 @@ class Pool {
 
 }  // namespace
 
+int num_threads_from_env() {
+  return static_cast<int>(env_int("DC_NUM_THREADS", 0, INT_MAX));
+}
+
 int num_threads() {
   int n = 0;
   const int override_n = g_override.load(std::memory_order_relaxed);
@@ -185,10 +176,6 @@ void set_num_threads(int n) {
 
 void set_rank_threads(int n) {
   g_rank_threads.store(n > 0 ? n : 1, std::memory_order_relaxed);
-}
-
-void set_progress_hook(ProgressHook hook) {
-  g_progress_hook.store(hook, std::memory_order_release);
 }
 
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,

@@ -29,22 +29,17 @@ using ChunkFn = std::function<void(std::int64_t, std::int64_t)>;
 /// hardware_concurrency / rank_threads (min 1).
 int num_threads();
 
+/// Reads DC_NUM_THREADS now: 0 (automatic sizing) when unset, empty or
+/// "0"; throws an Error naming the variable unless it is a non-negative
+/// integer. num_threads() reads it once.
+int num_threads_from_env();
+
 /// Override the per-call thread budget (n <= 0 restores automatic sizing).
 void set_num_threads(int n);
 
 /// Hint how many rank threads are running concurrently (set by
 /// comm::World::run); automatic sizing divides the hardware by this.
 void set_rank_threads(int n);
-
-/// Hook fired at every chunk boundary of every parallel_for (on workers and
-/// on the calling thread alike). The communication layer installs a
-/// dispatcher here so in-flight collective rounds advance *while* kernels
-/// run (`DC_COMM_PROGRESS=hooks`) instead of only between layers. The hook
-/// must be cheap, reentrancy-safe, and must never throw; nullptr clears it.
-/// Installation is process-global and sticky — dispatchers are expected to
-/// no-op when they have nothing to progress.
-using ProgressHook = void (*)();
-void set_progress_hook(ProgressHook hook);
 
 /// Static-chunked parallel loop over [begin, end). Cuts the range into at
 /// most num_threads() contiguous chunks of at least `grain` iterations and

@@ -403,9 +403,8 @@ class HaloExchange {
 
 /// A halo exchange as a progress-engine op: the tag is drawn at construction
 /// (enqueue time, SPMD order), the wire work starts when the op reaches the
-/// engine's FIFO head, and the margin unpack happens on whichever thread
-/// observes completion — so a progress thread can retire the whole refresh
-/// behind the consumer's interior compute. Same transfers and the same
+/// engine's FIFO head, and the margin unpack happens in the owner's progress
+/// or drain call that observes completion. Same transfers and the same
 /// unpack as exchange(), hence bitwise-identical margins.
 template <typename T>
 class HaloRefreshOp final : public comm::NbOp {

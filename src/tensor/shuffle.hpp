@@ -108,9 +108,8 @@ class Shuffler {
 
 /// The shuffle as a resumable op: the pairwise-exchange schedule of
 /// comm::alltoallv (local copy, then round s exchanges with ranks me ± s),
-/// one posted receive per round. Packing happens when the
-/// op starts (off the consumer's critical path when a progress driver runs
-/// it); the unpack into dst happens at completion.
+/// one posted receive per round. Packing happens when the op starts (at the
+/// engine's FIFO head); the unpack into dst happens at completion.
 template <typename T>
 class ShuffleOp final : public comm::RequestDrivenOp {
  public:

@@ -2,10 +2,12 @@
 // values (integer-valued sums are exact in any order, max is order-free),
 // multiple in-flight operations with out-of-order completion, tag isolation
 // (between concurrent ops and against blocking traffic), zero-length
-// buffers, and the CollectiveEngine's FIFO drain.
+// buffers, the CollectiveEngine's FIFO drain, and the engine's progress
+// contract: an op advances only in its owning rank's engine calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <memory>
@@ -13,7 +15,10 @@
 
 #include "comm/collectives.hpp"
 #include "comm/nonblocking.hpp"
+#include "comm/progress.hpp"
+#include "core/layer.hpp"
 #include "support/rng.hpp"
+#include "tests/support/env_check.hpp"
 
 namespace distconv::comm {
 namespace {
@@ -346,6 +351,43 @@ TEST(Nonblocking, EngineDrainsMixedBurstFifo) {
       EXPECT_TRUE(bitwise_equal(bufs[k], refs[k])) << "op " << k;
     }
   });
+}
+
+/// Nothing advances an enqueued op but its owner: a multi-round ring
+/// allreduce stays in flight on every rank while the owners sit in a barrier
+/// (no rank can finish before the first enqueuer progresses again), and it
+/// retires only through the owner's drain, bitwise equal to the blocking
+/// allreduce of the same data.
+TEST(Nonblocking, EngineOpRetiresOnlyThroughOwnerCalls) {
+  const std::size_t n = 1 << 15;  // well above the ring threshold
+  World world(4);
+  world.run([n](Comm& comm) {
+    std::vector<float> blocking =
+        random_floats(n, 7 * static_cast<std::uint64_t>(comm.rank() + 1));
+    std::vector<float> overlapped = blocking;
+    allreduce(comm, blocking.data(), n, ReduceOp::kSum);
+
+    CollectiveEngine engine;
+    engine.enqueue(make_iallreduce(comm, overlapped.data(), n, ReduceOp::kSum));
+    barrier(comm);
+    EXPECT_FALSE(engine.idle());  // nobody progressed it
+    EXPECT_EQ(engine.completed_ops(), 0u);
+    engine.drain();
+    EXPECT_TRUE(engine.idle());
+    EXPECT_EQ(engine.completed_ops(), 1u);
+    EXPECT_TRUE(bitwise_equal(blocking, overlapped));
+  });
+}
+
+/// DC_COMM_PROGRESS is retired: a stale "thread" or "hooks" raises an Error
+/// naming the variable (ModelOptions reads it), while unset or "off" passes.
+TEST(Nonblocking, RemovedProgressModesFailLoudly) {
+  expect_env_rejects("DC_COMM_PROGRESS", {"thread", "hooks", "1"},
+                     [] { core::ModelOptions opts; });
+  setenv("DC_COMM_PROGRESS", "off", 1);
+  EXPECT_EQ(progress_mode_from_env(), ProgressMode::kOff);
+  unsetenv("DC_COMM_PROGRESS");
+  EXPECT_EQ(progress_mode_from_env(), ProgressMode::kOff);
 }
 
 /// Ops on split sub-communicators progress independently of the parent's

@@ -1,12 +1,13 @@
 // Communication watchdog and world-wide failure propagation: a lost message
 // or stalled rank converts into typed errors (CommTimeoutError on the rank
 // whose wait expired, RankFailedError everywhere else) instead of a
-// deadlock, under every DC_COMM_PROGRESS mode.
+// deadlock.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 
 #include "comm/collectives.hpp"
@@ -15,6 +16,7 @@
 #include "comm/world.hpp"
 #include "core/layers.hpp"
 #include "core/model.hpp"
+#include "tests/support/env_check.hpp"
 
 namespace distconv::comm {
 namespace {
@@ -141,9 +143,8 @@ TEST(Watchdog, TypedHierarchyRoutesOnCommError) {
 // A stalled rank inside a real distributed forward (halo exchanges under a
 // spatial grid, shuffles + channel collectives under a channel-parallel
 // grid) must surface as a typed CommError on EVERY rank — the stalled one
-// included, which finds its world aborted the moment it resumes — under all
-// three progress-engine modes.
-void run_stalled_forward(const core::Strategy& strategy, ProgressMode mode) {
+// included, which finds its world aborted the moment it resumes.
+void run_stalled_forward(const core::Strategy& strategy) {
   CommTimeoutGuard guard(200);
   World world(4);
   std::array<std::atomic<int>, 4> raised{};  // 1 = CommError seen
@@ -156,9 +157,7 @@ void run_stalled_forward(const core::Strategy& strategy, ProgressMode mode) {
         x = nb.relu("r1", x);
         nb.conv("head", x, 2, 3, 1);
         const core::NetworkSpec spec = nb.take();
-        core::ModelOptions opts;
-        opts.comm_progress = mode;
-        core::Model model(spec, comm, strategy, 11, opts);
+        core::Model model(spec, comm, strategy, 11);
         Tensor<float> input(Shape4{4, 4, 12, 12});
         Rng rng(5);
         input.fill_uniform(rng);
@@ -183,25 +182,28 @@ void run_stalled_forward(const core::Strategy& strategy, ProgressMode mode) {
   } catch (const CommError&) {
   }
   for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(raised[r].load(), 1)
-        << "rank " << r << " did not raise under mode "
-        << to_string(mode);
+    EXPECT_EQ(raised[r].load(), 1) << "rank " << r << " did not raise";
   }
 }
 
 TEST(Watchdog, StalledRankSurfacesOnAllRanksSpatial) {
-  for (const ProgressMode mode :
-       {ProgressMode::kOff, ProgressMode::kThread, ProgressMode::kHooks}) {
-    run_stalled_forward(
-        core::Strategy::uniform(4, ProcessGrid{1, 1, 2, 2}), mode);
-  }
+  run_stalled_forward(core::Strategy::uniform(4, ProcessGrid{1, 1, 2, 2}));
 }
 
 TEST(Watchdog, StalledRankSurfacesOnAllRanksChannel) {
-  for (const ProgressMode mode :
-       {ProgressMode::kOff, ProgressMode::kThread, ProgressMode::kHooks}) {
-    run_stalled_forward(core::Strategy::channel_parallel(4, 4, 2), mode);
-  }
+  run_stalled_forward(core::Strategy::channel_parallel(4, 4, 2));
+}
+
+/// DC_COMM_TIMEOUT_MS is parsed strictly: garbage such as "5s" raises an
+/// Error naming the variable instead of silently disabling the watchdog.
+TEST(Watchdog, TimeoutEnvRejectsGarbage) {
+  setenv("DC_COMM_TIMEOUT_MS", "250", 1);
+  EXPECT_EQ(comm_timeout_ms_from_env(), 250);
+  setenv("DC_COMM_TIMEOUT_MS", "", 1);
+  EXPECT_EQ(comm_timeout_ms_from_env(), 0);
+  expect_env_rejects("DC_COMM_TIMEOUT_MS", {"5s", "abc", "-1", "1.5"},
+                     [] { comm_timeout_ms_from_env(); });
+  EXPECT_EQ(comm_timeout_ms_from_env(), 0);
 }
 
 }  // namespace

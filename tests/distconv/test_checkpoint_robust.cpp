@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "core/model.hpp"
 #include "core/snapshots.hpp"
 #include "support/atomic_file.hpp"
+#include "tests/support/env_check.hpp"
 
 namespace distconv::core {
 namespace {
@@ -273,6 +275,26 @@ TEST(Snapshots, RetentionKeepsNewestAndScanSkipsCorrupt) {
     EXPECT_EQ(snaps.restore_latest(), 1);
   });
   std::filesystem::remove_all(dir);
+}
+
+/// DC_CKPT_EVERY / DC_CKPT_KEEP are parsed strictly: unset or empty keeps
+/// the defaults, garbage raises an Error naming the variable instead of
+/// silently falling back.
+TEST(Snapshots, EnvKnobsRejectGarbage) {
+  SnapshotOptions opts = snapshot_options_from_env("/tmp/unused");
+  EXPECT_EQ(opts.every, 0);
+  EXPECT_EQ(opts.keep, 2);
+  setenv("DC_CKPT_EVERY", "5", 1);
+  setenv("DC_CKPT_KEEP", "", 1);
+  opts = snapshot_options_from_env("/tmp/unused");
+  EXPECT_EQ(opts.every, 5);
+  EXPECT_EQ(opts.keep, 2);
+  unsetenv("DC_CKPT_EVERY");
+  unsetenv("DC_CKPT_KEEP");
+  for (const char* name : {"DC_CKPT_EVERY", "DC_CKPT_KEEP"}) {
+    expect_env_rejects(name, {"5s", "two", "-1"},
+                       [] { snapshot_options_from_env("/tmp/unused"); });
+  }
 }
 
 }  // namespace

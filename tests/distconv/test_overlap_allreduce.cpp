@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <iterator>
 #include <vector>
 
 #include "core/layers.hpp"
@@ -42,11 +41,9 @@ std::vector<float> snapshot_params(const Model& model) {
 /// snapshot.
 std::vector<float> train(const NetworkSpec& spec, comm::Comm& comm,
                          const Strategy& strategy, bool overlap, int steps,
-                         int micro_batches,
-                         comm::ProgressMode progress = comm::ProgressMode::kOff) {
+                         int micro_batches) {
   ModelOptions opts;
   opts.overlap_allreduce = overlap;
-  opts.comm_progress = progress;
   Model model(spec, comm, strategy, /*seed=*/11, opts);
   Trainer trainer(model, [&] {
     TrainerOptions t;
@@ -104,41 +101,31 @@ const Case kCases[] = {
      }},
 };
 
-/// Every progress mode × every strategy × serial and contended thread
-/// budgets: training with the engine overlapping gradient allreduces, halo
-/// refreshes, shuffles and the channel-parallel reduce-scatter must be
-/// bitwise identical to the fully blocking baseline.
-TEST(OverlapAllreduce, BitwiseEqualAcrossStrategiesThreadsAndProgressModes) {
+/// Every strategy × serial and contended thread budgets: training with the
+/// engine overlapping gradient allreduces, halo refreshes, shuffles and the
+/// channel-parallel reduce-scatter must be bitwise identical to the fully
+/// blocking baseline.
+TEST(OverlapAllreduce, BitwiseEqualAcrossStrategiesAndThreads) {
   const Shape4 in_shape{4, 2, 16, 16};
   const NetworkSpec spec = small_net(in_shape);
-  const comm::ProgressMode modes[] = {comm::ProgressMode::kOff,
-                                      comm::ProgressMode::kThread,
-                                      comm::ProgressMode::kHooks};
   for (const auto& c : kCases) {
     for (const int threads : {1, 8}) {
       parallel::ThreadGuard guard(threads);
-      std::vector<float> blocking;
-      std::vector<std::vector<float>> overlapped(std::size(modes));
+      std::vector<float> blocking, overlapped;
       comm::World world(c.ranks);
       world.run([&](comm::Comm& comm) {
         const Strategy strategy = c.make(spec.size(), c.ranks);
         auto b = train(spec, comm, strategy, /*overlap=*/false, /*steps=*/3,
-                       /*micro_batches=*/1, comm::ProgressMode::kOff);
-        std::vector<std::vector<float>> o(std::size(modes));
-        for (std::size_t m = 0; m < std::size(modes); ++m) {
-          o[m] = train(spec, comm, strategy, /*overlap=*/true, /*steps=*/3,
-                       /*micro_batches=*/1, modes[m]);
-        }
+                       /*micro_batches=*/1);
+        auto o = train(spec, comm, strategy, /*overlap=*/true, /*steps=*/3,
+                       /*micro_batches=*/1);
         if (comm.rank() == 0) {
           blocking = std::move(b);
           overlapped = std::move(o);
         }
       });
-      for (std::size_t m = 0; m < std::size(modes); ++m) {
-        SCOPED_TRACE(std::string(c.name) + " threads=" + std::to_string(threads) +
-                     " progress=" + comm::to_string(modes[m]));
-        expect_bitwise(blocking, overlapped[m], c.name);
-      }
+      SCOPED_TRACE(std::string(c.name) + " threads=" + std::to_string(threads));
+      expect_bitwise(blocking, overlapped, c.name);
     }
   }
 }
@@ -153,10 +140,10 @@ TEST(OverlapAllreduce, BitwiseEqualUnderMicroBatchAccumulation) {
       const Strategy strategy = c.make(spec.size(), c.ranks);
       auto b = train(spec, comm, strategy, /*overlap=*/false, /*steps=*/2,
                      /*micro_batches=*/3);
-      // Accumulation steps defer the gradient sums while the progress
-      // thread still drives the per-micro-batch shuffle/halo/rs ops.
+      // Accumulation steps defer the gradient sums while the engine still
+      // runs the per-micro-batch shuffle/halo/rs ops.
       auto o = train(spec, comm, strategy, /*overlap=*/true, /*steps=*/2,
-                     /*micro_batches=*/3, comm::ProgressMode::kThread);
+                     /*micro_batches=*/3);
       if (comm.rank() == 0) {
         blocking = std::move(b);
         overlapped = std::move(o);

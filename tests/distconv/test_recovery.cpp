@@ -2,8 +2,7 @@
 // aborts the world on every rank, run_with_recovery resets and re-enters,
 // the trainer restores the newest mutually-valid snapshot and replays the
 // lost steps — and the recovered run's final weights are BITWISE identical
-// to an unfaulted run, across sample/spatial/channel strategies and all
-// progress-engine modes.
+// to an unfaulted run, across sample/spatial/channel strategies.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -64,12 +63,10 @@ std::vector<Tensor<float>> collect_params(Model& model) {
 /// any, train to kSteps with periodic checkpointing, and (rank 0) report the
 /// final parameters. Re-entrant: exactly what the recovery driver replays.
 void train_session(comm::Comm& comm, const Strategy& strategy,
-                   comm::ProgressMode mode, const std::string& dir,
+                   const std::string& dir,
                    std::vector<Tensor<float>>* final_params) {
   const NetworkSpec spec = recovery_net();
-  ModelOptions opts;
-  opts.comm_progress = mode;
-  Model model(spec, comm, strategy, kModelSeed, opts);
+  Model model(spec, comm, strategy, kModelSeed);
   Trainer trainer(model, TrainerOptions{{0.05f, 0.9f, 0.0f}, 1});
   SnapshotOptions sopts;
   sopts.dir = dir;
@@ -90,20 +87,18 @@ void train_session(comm::Comm& comm, const Strategy& strategy,
 }
 
 std::vector<Tensor<float>> run_unfaulted(const Strategy& strategy,
-                                         comm::ProgressMode mode,
                                          const std::string& dir) {
   std::filesystem::remove_all(dir);
   std::vector<Tensor<float>> params;
   comm::World world(kWorld);
   world.run([&](comm::Comm& comm) {
-    train_session(comm, strategy, mode, dir, &params);
+    train_session(comm, strategy, dir, &params);
   });
   std::filesystem::remove_all(dir);
   return params;
 }
 
 std::vector<Tensor<float>> run_faulted(const Strategy& strategy,
-                                       comm::ProgressMode mode,
                                        const std::string& dir,
                                        comm::faults::FaultPlan plan,
                                        int* attempts) {
@@ -114,7 +109,7 @@ std::vector<Tensor<float>> run_faulted(const Strategy& strategy,
   const RecoveryReport report = run_with_recovery(
       world,
       [&](comm::Comm& comm) {
-        train_session(comm, strategy, mode, dir, &params);
+        train_session(comm, strategy, dir, &params);
       },
       RecoveryOptions{3});
   comm::faults::clear_fault_plan();
@@ -149,27 +144,19 @@ std::vector<NamedStrategy> strategies() {
   };
 }
 
-TEST(Recovery, KilledRankRecoversBitwiseAcrossStrategiesAndModes) {
+TEST(Recovery, KilledRankRecoversBitwiseAcrossStrategies) {
   for (const NamedStrategy& s : strategies()) {
+    SCOPED_TRACE(s.name);
     const std::string base =
         std::string("/tmp/distconv_recovery_") + s.name;
-    // One unfaulted reference per strategy (results are bitwise identical
-    // across progress modes; the faulted runs below re-assert that).
-    const auto reference =
-        run_unfaulted(s.strategy, comm::ProgressMode::kOff, base + "_ref");
-    for (const comm::ProgressMode mode :
-         {comm::ProgressMode::kOff, comm::ProgressMode::kThread,
-          comm::ProgressMode::kHooks}) {
-      SCOPED_TRACE(std::string(s.name) + " / " +
-                   comm::to_string(mode));
-      int attempts = 0;
-      const auto recovered = run_faulted(
-          s.strategy, mode, base + "_fault",
-          comm::faults::FaultPlan::kill_at_step(/*rank=*/1, /*step=*/3),
-          &attempts);
-      EXPECT_EQ(attempts, 2);  // one fault, one successful replay
-      expect_bitwise_equal(recovered, reference);
-    }
+    const auto reference = run_unfaulted(s.strategy, base + "_ref");
+    int attempts = 0;
+    const auto recovered = run_faulted(
+        s.strategy, base + "_fault",
+        comm::faults::FaultPlan::kill_at_step(/*rank=*/1, /*step=*/3),
+        &attempts);
+    EXPECT_EQ(attempts, 2);  // one fault, one successful replay
+    expect_bitwise_equal(recovered, reference);
   }
 }
 
@@ -190,16 +177,15 @@ TEST(Recovery, SeededRandomKillSweepRecoversBitwise) {
   }
   const int layers = recovery_net().size();
   const Strategy strategy = Strategy::sample_parallel(layers, kWorld);
-  const auto reference = run_unfaulted(strategy, comm::ProgressMode::kThread,
-                                       "/tmp/distconv_recovery_sweep_ref");
+  const auto reference =
+      run_unfaulted(strategy, "/tmp/distconv_recovery_sweep_ref");
   for (const std::uint64_t seed : seeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const auto plan = comm::faults::FaultPlan::random_kill(
         seed, kWorld, /*max_step=*/kSteps);
     int attempts = 0;
     const auto recovered =
-        run_faulted(strategy, comm::ProgressMode::kThread,
-                    "/tmp/distconv_recovery_sweep", plan, &attempts);
+        run_faulted(strategy, "/tmp/distconv_recovery_sweep", plan, &attempts);
     EXPECT_EQ(attempts, 2);
     expect_bitwise_equal(recovered, reference);
   }

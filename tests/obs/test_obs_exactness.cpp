@@ -1,14 +1,13 @@
 // Observability must be a pure observer: enabling metrics + tracing may not
 // change a single bit of the training computation. One forward + BCE loss +
 // backward + SGD step runs twice — obs off, then obs on — under sample,
-// spatial and channel parallelism crossed with every progress-engine mode,
-// and outputs, losses and post-update parameters must match bitwise.
+// spatial and channel parallelism, and outputs, losses and post-update
+// parameters must match bitwise.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <vector>
 
-#include "comm/progress.hpp"
 #include "core/layers.hpp"
 #include "core/model.hpp"
 #include "obs/metrics.hpp"
@@ -53,7 +52,7 @@ NetworkSpec small_conv_net() {
 
 RunResult run_once(int ranks,
                    const std::function<Strategy(int, int)>& make_strategy,
-                   comm::ProgressMode progress, bool obs_on) {
+                   bool obs_on) {
   // The collection switches are process-global; flip them around the run and
   // always restore the off state so the reference runs stay uninstrumented.
   obs::metrics::set_enabled(obs_on);
@@ -62,10 +61,7 @@ RunResult run_once(int ranks,
   comm::World world(ranks);
   world.run([&](comm::Comm& comm) {
     const NetworkSpec spec = small_conv_net();
-    ModelOptions opts;
-    opts.comm_progress = progress;  // env cache bypass: set programmatically
-    Model model(spec, comm, make_strategy(spec.size(), ranks), /*seed=*/7,
-                opts);
+    Model model(spec, comm, make_strategy(spec.size(), ranks), /*seed=*/7);
     const Shape4 in_shape = model.rt(0).out_shape;
     const Shape4 out_shape = model.rt(model.output_layer()).out_shape;
     model.set_input(0, make_input(in_shape, 99));
@@ -106,7 +102,7 @@ void expect_bitwise(const RunResult& got, const RunResult& ref) {
   }
 }
 
-TEST(ObsExactness, InstrumentationIsBitwiseInvisibleAcrossStrategiesAndModes) {
+TEST(ObsExactness, InstrumentationIsBitwiseInvisibleAcrossStrategies) {
   struct StrategyCase {
     const char* name;
     std::function<Strategy(int, int)> make;
@@ -118,17 +114,11 @@ TEST(ObsExactness, InstrumentationIsBitwiseInvisibleAcrossStrategiesAndModes) {
       {"channel4",
        [](int l, int) { return Strategy::uniform(l, ProcessGrid{1, 4, 1, 1}); }},
   };
-  const comm::ProgressMode modes[] = {comm::ProgressMode::kOff,
-                                      comm::ProgressMode::kThread,
-                                      comm::ProgressMode::kHooks};
   for (const auto& sc : strategies) {
-    for (const comm::ProgressMode mode : modes) {
-      SCOPED_TRACE(std::string(sc.name) + " progress=" +
-                   comm::to_string(mode));
-      const RunResult ref = run_once(4, sc.make, mode, /*obs_on=*/false);
-      const RunResult got = run_once(4, sc.make, mode, /*obs_on=*/true);
-      expect_bitwise(got, ref);
-    }
+    SCOPED_TRACE(sc.name);
+    const RunResult ref = run_once(4, sc.make, /*obs_on=*/false);
+    const RunResult got = run_once(4, sc.make, /*obs_on=*/true);
+    expect_bitwise(got, ref);
   }
 }
 

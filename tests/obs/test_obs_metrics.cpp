@@ -145,8 +145,7 @@ TEST_F(ObsMetrics, NamedSlowPathHelpersAccumulate) {
 }
 
 /// A blocking allreduce runs the resumable op inline: it counts once, under
-/// its comm.coll.* instruments, and never as an engine op (comm.op.*) or an
-/// owner/background retirement (comm.ops.*).
+/// its comm.coll.* instruments, and never as an engine op (comm.op.*).
 TEST_F(ObsMetrics, BlockingAllreduceCountsOnlyAsACollective) {
   const int p = 4;
   comm::World world(p);
@@ -160,8 +159,7 @@ TEST_F(ObsMetrics, BlockingAllreduceCountsOnlyAsACollective) {
             static_cast<std::uint64_t>(p));
   for (const auto& [rank, counters] : snap.counters) {
     for (const auto& [name, value] : counters) {
-      const bool engine_counter = name.rfind("comm.op.", 0) == 0 ||
-                                  name.rfind("comm.ops.", 0) == 0;
+      const bool engine_counter = name.rfind("comm.op.", 0) == 0;
       EXPECT_FALSE(engine_counter && value != 0)
           << name << " = " << value << " on rank " << rank;
     }

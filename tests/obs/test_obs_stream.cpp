@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "comm/faults.hpp"
-#include "comm/progress.hpp"
 #include "comm/world.hpp"
 #include "core/layers.hpp"
 #include "core/model.hpp"
@@ -304,8 +303,7 @@ core::NetworkSpec small_conv_net() {
 /// mid-step into rotated segments).
 RunResult run_once(int ranks,
                    const std::function<core::Strategy(int, int)>& make_strategy,
-                   comm::ProgressMode progress, bool streaming,
-                   const std::string& dir) {
+                   bool streaming, const std::string& dir) {
   if (streaming) {
     metrics::set_enabled(true);
     trace::set_enabled(true);
@@ -320,10 +318,8 @@ RunResult run_once(int ranks,
   comm::World world(ranks);  // init_from_env starts the configured flusher
   world.run([&](comm::Comm& comm) {
     const core::NetworkSpec spec = small_conv_net();
-    core::ModelOptions opts;
-    opts.comm_progress = progress;
     core::Model model(spec, comm, make_strategy(spec.size(), ranks),
-                      /*seed=*/7, opts);
+                      /*seed=*/7);
     const Shape4 in_shape = model.rt(0).out_shape;
     const Shape4 out_shape = model.rt(model.output_layer()).out_shape;
     model.set_input(0, make_input(in_shape, 99));
@@ -366,7 +362,7 @@ void expect_bitwise(const RunResult& got, const RunResult& ref) {
   }
 }
 
-TEST(ObsStream, StreamingIsBitwiseInvisibleAcrossStrategiesAndModes) {
+TEST(ObsStream, StreamingIsBitwiseInvisibleAcrossStrategies) {
   ObsCleanup cleanup;
   const std::string dir = "/tmp/distconv_obs_stream_exact";
   struct StrategyCase {
@@ -385,22 +381,14 @@ TEST(ObsStream, StreamingIsBitwiseInvisibleAcrossStrategiesAndModes) {
          return core::Strategy::uniform(l, ProcessGrid{1, 4, 1, 1});
        }},
   };
-  const comm::ProgressMode modes[] = {comm::ProgressMode::kOff,
-                                      comm::ProgressMode::kThread,
-                                      comm::ProgressMode::kHooks};
   for (const auto& sc : strategies) {
-    for (const comm::ProgressMode mode : modes) {
-      SCOPED_TRACE(std::string(sc.name) + " progress=" +
-                   comm::to_string(mode));
-      fs::remove_all(dir);
-      const RunResult ref =
-          run_once(4, sc.make, mode, /*streaming=*/false, dir);
-      const RunResult got =
-          run_once(4, sc.make, mode, /*streaming=*/true, dir);
-      expect_bitwise(got, ref);
-      // The streamed run really streamed: rotated segments are on disk.
-      EXPECT_GE(segment_files(dir).size(), 1u);
-    }
+    SCOPED_TRACE(sc.name);
+    fs::remove_all(dir);
+    const RunResult ref = run_once(4, sc.make, /*streaming=*/false, dir);
+    const RunResult got = run_once(4, sc.make, /*streaming=*/true, dir);
+    expect_bitwise(got, ref);
+    // The streamed run really streamed: rotated segments are on disk.
+    EXPECT_GE(segment_files(dir).size(), 1u);
   }
   fs::remove_all(dir);
 }

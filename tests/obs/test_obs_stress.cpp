@@ -1,5 +1,5 @@
 // Concurrency stress for the observability hot paths: World rank threads
-// training with the progress engine, intra-rank parallel_for workers, and
+// training through the model's engine, intra-rank parallel_for workers, and
 // extra noise threads all emit counters, histograms, spans and instants at
 // once — while another thread snapshots and renders the registry. Built for
 // the ThreadSanitizer matrix (cmake --preset tsan); under a plain build it
@@ -90,8 +90,8 @@ TEST(ObsStress, ConcurrentEmittersSnapshottersAndTrainingAreRaceFree) {
   });
 
   {
-    // Real pool workers + the default progress thread keep rank-carrying
-    // and rank-less shards active at the same time.
+    // Real pool workers keep rank-carrying and rank-less shards active at
+    // the same time.
     parallel::ThreadGuard guard(4);
     comm::World world(4);
     world.run([&](comm::Comm& comm) {

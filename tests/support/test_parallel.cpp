@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include "comm/collectives.hpp"
 #include "comm/world.hpp"
 #include "support/parallel.hpp"
+#include "tests/support/env_check.hpp"
 #include "tests/support/thread_guard.hpp"
 
 namespace distconv::parallel {
@@ -113,7 +115,21 @@ TEST(ParallelFor, NumThreadsPriority) {
   set_rank_threads(1);
 }
 
-TEST(ParallelFor, ComposesWithWorldRankThreads) {
+/// DC_NUM_THREADS is parsed strictly: "8x" is not 8 and "abc" is not
+/// automatic sizing — both raise an Error naming the variable.
+TEST(ParallelFor, NumThreadsEnvRejectsGarbage) {
+  setenv("DC_NUM_THREADS", "8", 1);
+  EXPECT_EQ(num_threads_from_env(), 8);
+  setenv("DC_NUM_THREADS", "0", 1);
+  EXPECT_EQ(num_threads_from_env(), 0);  // automatic sizing
+  setenv("DC_NUM_THREADS", "", 1);
+  EXPECT_EQ(num_threads_from_env(), 0);
+  expect_env_rejects("DC_NUM_THREADS", {"8x", "abc", "-2", "4294967296"},
+                     [] { num_threads_from_env(); });
+  EXPECT_EQ(num_threads_from_env(), 0);
+}
+
+TEST(ParallelFor, ComposesWithConcurrentWorldRanks) {
   // Every rank thread drives the shared pool concurrently while also
   // exchanging messages — the interaction TSan guards.
   ThreadGuard guard(4);

@@ -8,21 +8,15 @@
 //
 // Usage: check_bench <baseline.json> <fresh.json>
 //                    [--lat-tol 0.20] [--thru-tol 0.15]
-//                    [--append-history <BENCH_history.jsonl>]
 //
 // Tolerances are fractions (0.20 = +20% latency / −20% throughput headroom);
 // CI passes looser values than the defaults because shared runners are
 // noisy. Prints a per-metric PASS/FAIL table; exit 0 when every gate holds,
 // 1 otherwise, 2 on usage/parse errors.
-//
-// --append-history records the fresh dump as one dated JSON line (appended,
-// never rewritten) so BENCH trajectories accumulate across PRs; failing
-// runs are recorded too, with "pass":false.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -95,56 +89,6 @@ const Value* find_policy(const Value& root, const std::string& name) {
   return nullptr;
 }
 
-void append_num_field(std::string& out, const char* key, double v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), ",\"%s\":%.6g", key, v);
-  out += buf;
-}
-
-/// One dated JSONL row summarizing the fresh dump: per-policy and fleet
-/// latency/throughput plus the gate verdict. Append-only by design — the
-/// file is the fleet's perf trajectory across PRs.
-void append_history(const std::string& path, const Value& fresh, bool pass) {
-  char date[32];
-  const std::time_t now = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&now, &tm_utc);
-  std::strftime(date, sizeof(date), "%Y-%m-%d", &tm_utc);
-
-  std::string row = "{\"date\":\"";
-  row += date;
-  row += "\",\"pass\":";
-  row += pass ? "true" : "false";
-  row += ",\"policies\":{";
-  bool first = true;
-  for (const Value& p : fresh.at("policies").array) {
-    if (!first) row += ",";
-    first = false;
-    row += "\"" + p.at("name").string + "\":{\"requests\":";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", num(p, "requests"));
-    row += buf;
-    append_num_field(row, "p50_ms", num(p, "p50_ms"));
-    append_num_field(row, "p99_ms", num(p, "p99_ms"));
-    append_num_field(row, "throughput_rps", num(p, "throughput_rps"));
-    row += "}";
-  }
-  row += "},\"fleet\":{\"replicas\":";
-  const Value& fleet = fresh.at("fleet");
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", num(fleet, "replicas"));
-  row += buf;
-  append_num_field(row, "requests", num(fleet, "requests"));
-  append_num_field(row, "p50_ms", num(fleet, "p50_ms"));
-  append_num_field(row, "p99_ms", num(fleet, "p99_ms"));
-  append_num_field(row, "throughput_rps", num(fleet, "throughput_rps"));
-  row += "}}\n";
-
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) throw std::runtime_error("cannot append to " + path);
-  out << row;
-}
-
 void check_serve(const Value& base, const Value& fresh, double lat_tol,
                  double thru_tol) {
   // Per-policy gates: every baseline policy must exist in the fresh dump
@@ -183,7 +127,6 @@ void check_serve(const Value& base, const Value& fresh, double lat_tol,
 int main(int argc, char** argv) {
   const char* baseline_path = nullptr;
   const char* fresh_path = nullptr;
-  const char* history_path = nullptr;
   double lat_tol = 0.20;
   double thru_tol = 0.15;
   for (int i = 1; i < argc; ++i) {
@@ -191,8 +134,6 @@ int main(int argc, char** argv) {
       lat_tol = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--thru-tol") == 0 && i + 1 < argc) {
       thru_tol = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--append-history") == 0 && i + 1 < argc) {
-      history_path = argv[++i];
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       std::fprintf(stderr, "check_bench: unknown flag '%s'\n", argv[i]);
       return 2;
@@ -205,8 +146,7 @@ int main(int argc, char** argv) {
   if (baseline_path == nullptr || fresh_path == nullptr) {
     std::fprintf(stderr,
                  "usage: check_bench <baseline.json> <fresh.json> "
-                 "[--lat-tol F] [--thru-tol F] "
-                 "[--append-history <file.jsonl>]\n");
+                 "[--lat-tol F] [--thru-tol F]\n");
     return 2;
   }
 
@@ -221,10 +161,6 @@ int main(int argc, char** argv) {
     }
     if (schema == "distconv-bench-serve-v1") {
       check_serve(base, fresh, lat_tol, thru_tol);
-      if (history_path != nullptr) {
-        append_history(history_path, fresh, all_pass);
-        std::printf("appended history row to %s\n", history_path);
-      }
     } else {
       throw std::runtime_error("unrecognized schema \"" + schema + "\"");
     }
