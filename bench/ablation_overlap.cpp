@@ -1,7 +1,6 @@
 // Ablation bench for the §IV-A design choices, on the *real* execution
 // engine (thread-rank runtime, CPU kernels, scaled mesh model):
 //   * halo-exchange overlap on/off (interior/boundary decomposition),
-//   * convolution algorithm (direct vs implicit GEMM),
 //   * parallelization scheme (sample / spatial / hybrid) at fixed resources,
 //   * the same sweep through the analytic model, for comparison.
 #include <benchmark/benchmark.h>
@@ -47,18 +46,6 @@ void bench_overlap(benchmark::State& state) {
   state.SetLabel(overlap ? "halo overlap ON" : "halo overlap OFF");
 }
 
-void bench_conv_algo(benchmark::State& state) {
-  const auto algo = state.range(0) == 0 ? kernels::ConvAlgo::kDirect
-                                        : kernels::ConvAlgo::kGemm;
-  const auto spec = models::make_mesh_model_test(4, 64);
-  const auto strategy = core::Strategy::hybrid(spec.size(), 4, 2);
-  kernels::set_conv_algo_override(algo);
-  for (auto _ : state) run_steps(spec, strategy, {}, 4);
-  kernels::set_conv_algo_override(kernels::ConvAlgo::kAuto);
-  state.SetItemsProcessed(state.iterations() * kStepsPerRun);
-  state.SetLabel(state.range(0) == 0 ? "direct" : "implicit GEMM");
-}
-
 void bench_parallelism(benchmark::State& state) {
   const int gps = static_cast<int>(state.range(0));
   const auto spec = models::make_mesh_model_test(4, 64);
@@ -92,7 +79,6 @@ void bench_model_prediction(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(bench_overlap)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-BENCHMARK(bench_conv_algo)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(bench_parallelism)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(bench_model_prediction)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 

@@ -31,6 +31,9 @@ inline constexpr LayerArgs kRes3x3{"res3b_3x3", 4, 128, 28, 28, 128, 3, 1};
 /// A strided 1×1 projection on a 4² plane: 2² outputs per sample, so the
 /// backward-filter chains are 4 positions long.
 inline constexpr LayerArgs kSmallPlane{"small_plane", 8, 128, 4, 4, 256, 1, 2};
+/// res5a_branch2b-style 3×3 on a 2² plane: 4 output positions per sample,
+/// so backward-data batches every sample's window into one GEMM.
+inline constexpr LayerArgs kSmallPlane3x3{"small_plane_3x3", 8, 64, 2, 2, 64, 3, 1};
 
 /// The geometries the calibration table aggregates over.
 inline constexpr LayerArgs kKernelShapes[] = {kConv1, kRes3b, kMesh11, kMesh61};

@@ -1,7 +1,6 @@
 // google-benchmark microbenchmarks for the local compute kernels — the
-// algorithm-selection study behind the paper's reliance on cuDNN autotuning
-// (direct vs GEMM, forward vs backward passes), on shrunken versions
-// of the Fig. 2/3 layer geometries.
+// GEMM-backed convolution passes (forward, backward-data, backward-filter)
+// and the raw GEMM, on shrunken versions of the Fig. 2/3 layer geometries.
 //
 // Items processed are FLOP counts (2·N·F·H̃·W̃·C·Kh·Kw per conv pass), so
 // items_per_second reads directly as FLOP/s. The *_threads variants sweep
@@ -30,6 +29,7 @@ using bench::kMesh61;
 using bench::kRes3b;
 using bench::kRes3x3;
 using bench::kSmallPlane;
+using bench::kSmallPlane3x3;
 using bench::params_of;
 
 /// Pin the pool budget from a benchmark Arg (0 keeps automatic sizing).
@@ -40,7 +40,7 @@ struct ThreadArg {
   ~ThreadArg() { parallel::set_num_threads(0); }
 };
 
-void bench_forward(benchmark::State& state, const LayerArgs& a, ConvAlgo algo) {
+void bench_forward(benchmark::State& state, const LayerArgs& a) {
   const ConvParams p = params_of(a);
   Tensor<float> x(Shape4{a.n, a.c, a.h + 2 * p.ph, a.w + 2 * p.pw});
   Tensor<float> w(Shape4{a.f, a.c, a.k, a.k});
@@ -50,21 +50,19 @@ void bench_forward(benchmark::State& state, const LayerArgs& a, ConvAlgo algo) {
   w.fill_uniform(rng);
   const Range2 full{0, y.shape().h, 0, y.shape().w};
   for (auto _ : state) {
-    conv2d_forward(x, Origin2{-p.ph, -p.pw}, w, y, Origin2{0, 0}, p, full, algo);
+    conv2d_forward(x, Origin2{-p.ph, -p.pw}, w, y, Origin2{0, 0}, p, full);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
                                                     conv_flops(a)));
 }
 
-void bench_forward_threads(benchmark::State& state, const LayerArgs& a,
-                           ConvAlgo algo) {
+void bench_forward_threads(benchmark::State& state, const LayerArgs& a) {
   ThreadArg threads(state);
-  bench_forward(state, a, algo);
+  bench_forward(state, a);
 }
 
-void bench_backward_data(benchmark::State& state, const LayerArgs& a,
-                         ConvAlgo algo) {
+void bench_backward_data(benchmark::State& state, const LayerArgs& a) {
   const ConvParams p = params_of(a);
   Tensor<float> dy(Shape4{a.n, a.f, p.out_h(a.h), p.out_w(a.w)});
   Tensor<float> w(Shape4{a.f, a.c, a.k, a.k});
@@ -74,16 +72,14 @@ void bench_backward_data(benchmark::State& state, const LayerArgs& a,
   w.fill_uniform(rng);
   for (auto _ : state) {
     conv2d_backward_data(dy, Origin2{0, 0}, w, dx, Origin2{0, 0}, p,
-                         Range2{0, a.h, 0, a.w}, dy.shape().h, dy.shape().w,
-                         algo);
+                         Range2{0, a.h, 0, a.w}, dy.shape().h, dy.shape().w);
     benchmark::DoNotOptimize(dx.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
                                                     conv_flops(a)));
 }
 
-void bench_backward_filter(benchmark::State& state, const LayerArgs& a,
-                           ConvAlgo algo) {
+void bench_backward_filter(benchmark::State& state, const LayerArgs& a) {
   const ConvParams p = params_of(a);
   Tensor<float> x(Shape4{a.n, a.c, a.h + 2 * p.ph, a.w + 2 * p.pw});
   Tensor<float> dy(Shape4{a.n, a.f, p.out_h(a.h), p.out_w(a.w)});
@@ -94,7 +90,7 @@ void bench_backward_filter(benchmark::State& state, const LayerArgs& a,
   const Range2 full{0, dy.shape().h, 0, dy.shape().w};
   for (auto _ : state) {
     conv2d_backward_filter(x, Origin2{-p.ph, -p.pw}, dy, Origin2{0, 0}, dw, p,
-                           full, false, algo);
+                           full, false);
     benchmark::DoNotOptimize(dw.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
@@ -157,37 +153,24 @@ void bench_gemm_threads(benchmark::State& state, const LayerArgs& a) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(bench_forward, conv1_direct, kConv1, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_forward, conv1_gemm, kConv1, ConvAlgo::kGemm);
-BENCHMARK_CAPTURE(bench_forward, res3b_direct, kRes3b, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_forward, res3b_gemm, kRes3b, ConvAlgo::kGemm);
-BENCHMARK_CAPTURE(bench_forward, res3b_3x3_gemm, kRes3x3, ConvAlgo::kGemm);
-BENCHMARK_CAPTURE(bench_forward, mesh_conv1_1_direct, kMesh11, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_forward, mesh_conv1_1_gemm, kMesh11, ConvAlgo::kGemm);
-BENCHMARK_CAPTURE(bench_forward, mesh_conv6_1_direct, kMesh61, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_forward, mesh_conv6_1_gemm, kMesh61, ConvAlgo::kGemm);
-BENCHMARK_CAPTURE(bench_forward_threads, res3b_gemm, kRes3b, ConvAlgo::kGemm)
+BENCHMARK_CAPTURE(bench_forward, conv1, kConv1);
+BENCHMARK_CAPTURE(bench_forward, res3b, kRes3b);
+BENCHMARK_CAPTURE(bench_forward, res3b_3x3, kRes3x3);
+BENCHMARK_CAPTURE(bench_forward, mesh_conv1_1, kMesh11);
+BENCHMARK_CAPTURE(bench_forward, mesh_conv6_1, kMesh61);
+BENCHMARK_CAPTURE(bench_forward_threads, res3b, kRes3b)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK_CAPTURE(bench_backward_data, res3b_direct, kRes3b, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_backward_data, res3b_gemm, kRes3b, ConvAlgo::kGemm);
-BENCHMARK_CAPTURE(bench_backward_data, mesh_conv6_1_direct, kMesh61,
-                  ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_backward_data, mesh_conv6_1_gemm, kMesh61,
-                  ConvAlgo::kGemm);
-BENCHMARK_CAPTURE(bench_backward_filter, res3b_direct, kRes3b, ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_backward_filter, res3b_gemm, kRes3b, ConvAlgo::kGemm);
-BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv1_1_direct, kMesh11,
-                  ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv1_1_gemm, kMesh11,
-                  ConvAlgo::kGemm);
-BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv6_1_direct, kMesh61,
-                  ConvAlgo::kDirect);
-BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv6_1_gemm, kMesh61,
-                  ConvAlgo::kGemm);
+BENCHMARK_CAPTURE(bench_backward_data, res3b, kRes3b);
+BENCHMARK_CAPTURE(bench_backward_data, mesh_conv6_1, kMesh61);
+// Small plane (2² outputs per sample): all 8 samples' dy windows share one
+// GEMM.
+BENCHMARK_CAPTURE(bench_backward_data, small_plane_3x3, kSmallPlane3x3);
+BENCHMARK_CAPTURE(bench_backward_filter, res3b, kRes3b);
+BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv1_1, kMesh11);
+BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv6_1, kMesh61);
 // Small plane (2² outputs per sample): every k block is 4 long, so the
 // accumulation of each block into dw dominates the GEMM.
-BENCHMARK_CAPTURE(bench_backward_filter, small_plane_gemm, kSmallPlane,
-                  ConvAlgo::kGemm);
+BENCHMARK_CAPTURE(bench_backward_filter, small_plane, kSmallPlane);
 BENCHMARK_CAPTURE(bench_pool, max, distconv::kernels::PoolMode::kMax);
 BENCHMARK_CAPTURE(bench_pool, average, distconv::kernels::PoolMode::kAverage);
 BENCHMARK_CAPTURE(bench_gemm, conv1, kConv1);

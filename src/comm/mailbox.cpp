@@ -18,6 +18,7 @@ std::atomic<std::int64_t>& timeout_store() {
 }
 
 thread_local const char* t_op_label = nullptr;
+thread_local const char* t_wait_label = nullptr;
 
 }  // namespace
 
@@ -33,12 +34,23 @@ void set_comm_timeout_ms(std::int64_t ms) {
   timeout_store().store(ms, std::memory_order_relaxed);
 }
 
-OpScope::OpScope(const char* name) : prev_(t_op_label) { t_op_label = name; }
+OpScope::OpScope(const char* name, const char* wait_label)
+    : prev_(t_op_label), prev_wait_(t_wait_label) {
+  t_op_label = name;
+  t_wait_label = wait_label != nullptr ? wait_label : name;
+}
 
-OpScope::~OpScope() { t_op_label = prev_; }
+OpScope::~OpScope() {
+  t_op_label = prev_;
+  t_wait_label = prev_wait_;
+}
 
 const char* OpScope::current() {
   return t_op_label != nullptr ? t_op_label : "(unlabeled)";
+}
+
+const char* OpScope::wait_label() {
+  return t_wait_label != nullptr ? t_wait_label : "(unlabeled)";
 }
 
 void Mailbox::complete_locked(internal::PostedRecv& recv, const Envelope& env,
@@ -109,7 +121,7 @@ void Mailbox::throw_aborted_locked() const {
 void Mailbox::wait(const std::shared_ptr<internal::OpState>& state) {
   if (!state) return;  // already-complete (eager send) requests carry no state
   // The runtime's single blocking point: attribute the blocked interval to
-  // the collective that issued it (OpScope label) so step time decomposes
+  // the collective that issued it (OpScope wait label) so step time decomposes
   // into compute / exposed comm / completion tail. Zero-cost when obs is
   // off (one relaxed load).
   const bool timing = obs::timing_enabled();
@@ -147,7 +159,7 @@ void Mailbox::wait(const std::shared_ptr<internal::OpState>& state) {
           obs::metrics::counter("comm.watchdog.arms");
       arms.inc();
     }
-    obs::record_wait(OpScope::current(),
+    obs::record_wait(OpScope::wait_label(),
                      static_cast<std::uint64_t>(obs::trace::now_ns() - t0));
   }
 }

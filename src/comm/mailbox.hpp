@@ -56,19 +56,26 @@ class CommTimeoutGuard {
 
 /// Labels the communication operation the calling thread is inside, so a
 /// watchdog timeout can say *what* was hung ("allreduce", "halo-refresh")
-/// rather than just which receive. Scopes nest; the innermost label wins.
+/// rather than just which receive, and so step-time attribution can
+/// categorize the blocked time (obs::classify_wait). The wait label
+/// defaults to the name; an engine drain passes the op's obs label, so a
+/// gradient-completion iallreduce waits as "gradreduce". Scopes nest; the
+/// innermost scope wins. Both strings must be literals.
 class OpScope {
  public:
-  explicit OpScope(const char* name);
+  explicit OpScope(const char* name, const char* wait_label = nullptr);
   ~OpScope();
   OpScope(const OpScope&) = delete;
   OpScope& operator=(const OpScope&) = delete;
 
-  /// The calling thread's current label ("(unlabeled)" outside any scope).
+  /// The calling thread's current name ("(unlabeled)" outside any scope).
   static const char* current();
+  /// The label its blocked time is attributed to ("(unlabeled)" outside).
+  static const char* wait_label();
 
  private:
   const char* prev_;
+  const char* prev_wait_;
 };
 
 namespace internal {

@@ -661,7 +661,9 @@ class CollectiveEngine {
   void drain_until(std::uint64_t ticket) {
     while (completed_ < ticket && !queue_.empty()) {
       NbOp& head = *queue_.front();
-      OpScope scope(head.name());  // watchdog: say which op a hung drain held
+      // The watchdog names the op a hung drain held; the wait counts
+      // toward the op's obs category.
+      OpScope scope(head.name(), head.obs_label());
       if (!head.started()) head.start();
       while (!head.progress()) head.wait_progress();
       queue_.pop_front();

@@ -1,9 +1,6 @@
 #include "kernels/conv.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "kernels/gemm.hpp"
@@ -20,84 +17,15 @@ void check_weights(const Tensor<float>& w, const ConvParams& p) {
              " does not match kernel size ", p.kh, "x", p.kw);
 }
 
-/// kAuto sentinel = "no override". Seeded lazily from DC_CONV_ALGO.
-std::atomic<ConvAlgo> g_algo_override{ConvAlgo::kAuto};
-std::atomic<bool> g_algo_override_seeded{false};
-
-void seed_algo_override_from_env() {
-  if (g_algo_override_seeded.exchange(true, std::memory_order_acq_rel)) return;
-  const char* s = std::getenv("DC_CONV_ALGO");
-  ConvAlgo algo = ConvAlgo::kAuto;
-  if (s != nullptr && *s != '\0') {
-    DC_REQUIRE(parse_conv_algo(s, &algo), "DC_CONV_ALGO: unknown algorithm '",
-               s, "'");
-  }
-  g_algo_override.store(algo, std::memory_order_release);
-}
+/// Floats of lowered operand per GEMM strip (~2 MiB).
+constexpr std::int64_t kStripElems = 1 << 19;
 
 }  // namespace
 
-const char* conv_algo_name(ConvAlgo algo) {
-  switch (algo) {
-    case ConvAlgo::kDirect: return "direct";
-    case ConvAlgo::kGemm: return "gemm";
-    case ConvAlgo::kAuto: return "auto";
-  }
-  return "?";
-}
-
-bool parse_conv_algo(const char* s, ConvAlgo* out) {
-  for (ConvAlgo algo : {ConvAlgo::kDirect, ConvAlgo::kGemm, ConvAlgo::kAuto}) {
-    if (std::strcmp(s, conv_algo_name(algo)) == 0) {
-      *out = algo;
-      return true;
-    }
-  }
-  return false;
-}
-
-void set_conv_algo_override(ConvAlgo algo) {
-  g_algo_override_seeded.store(true, std::memory_order_release);
-  g_algo_override.store(algo, std::memory_order_release);
-}
-
-ConvAlgo conv_algo_override() {
-  seed_algo_override_from_env();
-  return g_algo_override.load(std::memory_order_acquire);
-}
-
-ConvAlgo resolve_conv_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
-                           std::int64_t f) {
-  if (algo != ConvAlgo::kAuto) return algo;
-  // Register-tile cutoff: the micro-kernel contracts 6 × 16 outputs per
-  // step, so shallow stencils (small C·Kh·Kw) or few filters leave most of
-  // the tile idle, where the direct stencil — which touches x only once per
-  // (c, a, b) — wins. Direct and GEMM sum in different orders, so moving
-  // the cutoff changes results' bits.
-  const std::int64_t depth = c * p.kh * p.kw;
-  return depth < 32 || f < 8 ? ConvAlgo::kDirect : ConvAlgo::kGemm;
-}
-
 std::int64_t gemm_strip_height(std::int64_t depth, std::int64_t rw) {
-  constexpr std::int64_t kStripElems = 1 << 19;  // ~2 MiB of lowered input
   const std::int64_t target_rows = std::max<std::int64_t>(1, kStripElems / depth);
   return std::max<std::int64_t>(1, target_rows / std::max<std::int64_t>(1, rw));
 }
-
-namespace {
-
-/// The algorithm a dispatch runs: an explicit algorithm as given; kAuto
-/// takes the DC_CONV_ALGO escape hatch when set, else the layer-constant
-/// rule.
-ConvAlgo dispatch_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
-                       std::int64_t f) {
-  if (algo == ConvAlgo::kAuto && conv_algo_override() != ConvAlgo::kAuto) {
-    return conv_algo_override();
-  }
-  return resolve_conv_algo(algo, p, c, f);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Padded oracles (single-threaded references; the region kernels are the
@@ -202,54 +130,8 @@ void conv2d_backward_filter_padded(const Tensor<float>& x, const Tensor<float>& 
 
 namespace {
 
-void conv2d_forward_direct(const Tensor<float>& x, Origin2 xo,
-                           const Tensor<float>& w, Tensor<float>& y, Origin2 yo,
-                           const ConvParams& p, const Range2& r) {
-  const std::int64_t N = y.shape().n;
-  const std::int64_t F = w.shape().n;
-  const std::int64_t C = w.shape().c;
-  const auto& xst = x.strides();
-  const auto& yst = y.strides();
-  // Each (sample, filter) owns a disjoint output region: safe to run them
-  // in parallel, and the per-element accumulation order (c, a, b, rows) is
-  // independent of the thread budget.
-  parallel::parallel_for(0, N * F, 1, [&](std::int64_t t0, std::int64_t t1) {
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t k = t / F;
-      const std::int64_t f = t % F;
-      // Zero the target region, then accumulate per (c, a, b).
-      for (std::int64_t gh = r.h0; gh < r.h1; ++gh) {
-        float* yrow = y.data() + yst.offset(k, f, gh - yo.h, r.w0 - yo.w);
-        std::fill(yrow, yrow + (r.w1 - r.w0), 0.0f);
-      }
-      for (std::int64_t c = 0; c < C; ++c) {
-        for (int a = 0; a < p.kh; ++a) {
-          for (int b = 0; b < p.kw; ++b) {
-            const float wv = w(f, c, a, b);
-            for (std::int64_t gh = r.h0; gh < r.h1; ++gh) {
-              const std::int64_t ih = gh * p.sh - p.ph + a - xo.h;
-              const float* xrow =
-                  x.data() + xst.offset(k, c, ih, r.w0 * p.sw - p.pw + b - xo.w);
-              float* yrow = y.data() + yst.offset(k, f, gh - yo.h, r.w0 - yo.w);
-              if (p.sw == 1) {
-                for (std::int64_t j = 0; j < r.w1 - r.w0; ++j) {
-                  yrow[j] += wv * xrow[j];
-                }
-              } else {
-                for (std::int64_t j = 0; j < r.w1 - r.w0; ++j) {
-                  yrow[j] += wv * xrow[j * p.sw];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-}
-
 /// Buffer offsets of the stencil taps in weight-row order (c, a, b): the
-/// contraction index of both GEMM passes.
+/// contraction index of both implicit-GEMM passes.
 std::vector<std::int64_t> tap_offsets(const Strides4& xst, std::int64_t C,
                                       const ConvParams& p) {
   std::vector<std::int64_t> taps;
@@ -285,14 +167,19 @@ std::vector<std::int64_t> iota_offsets(std::int64_t n) {
   return v;
 }
 
+}  // namespace
+
 /// Implicit-GEMM forward: y (positions × F) = X (positions × C·Kh·Kw) · Wᵀ,
 /// with X read tap by tap straight from the haloed input. Output positions
 /// of all samples form M and the filters N, so F sits on the micro-tile's
 /// 16-wide side. One accumulation chain over the taps: the same kKc blocks
 /// as a GEMM on the lowered input, hence the same bits.
-void conv2d_forward_gemm(const Tensor<float>& x, Origin2 xo,
-                         const Tensor<float>& w, Tensor<float>& y, Origin2 yo,
-                         const ConvParams& p, const Range2& r) {
+void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
+                    Tensor<float>& y, Origin2 yo, const ConvParams& p,
+                    const Range2& r) {
+  check_weights(w, p);
+  if (r.empty()) return;
+  DC_REQUIRE(x.shape().n == y.shape().n, "sample count mismatch");
   const std::int64_t N = y.shape().n;
   const std::int64_t F = w.shape().n;
   const std::int64_t C = w.shape().c;
@@ -320,26 +207,6 @@ void conv2d_forward_gemm(const Tensor<float>& x, Origin2 xo,
   sgemm_indirect(g, {ckk}, /*accumulate=*/false);
 }
 
-}  // namespace
-
-void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
-                    Tensor<float>& y, Origin2 yo, const ConvParams& p,
-                    const Range2& r, ConvAlgo algo) {
-  check_weights(w, p);
-  if (r.empty()) return;
-  DC_REQUIRE(x.shape().n == y.shape().n, "sample count mismatch");
-  switch (dispatch_algo(algo, p, w.shape().c, w.shape().n)) {
-    case ConvAlgo::kDirect:
-      conv2d_forward_direct(x, xo, w, y, yo, p, r);
-      break;
-    case ConvAlgo::kGemm:
-      conv2d_forward_gemm(x, xo, w, y, yo, p, r);
-      break;
-    case ConvAlgo::kAuto:
-      DC_FAIL("unresolved convolution algorithm");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Backward data
 // ---------------------------------------------------------------------------
@@ -358,19 +225,21 @@ Range2 gather_window(const ConvParams& p, const Range2& r, std::int64_t out_h,
   return win;
 }
 
-/// Pack `nch` channel planes of `t` over the window `win` into a dense
-/// (nch × win.area()) matrix.
-void pack_window(const Tensor<float>& t, Origin2 to, std::int64_t sample,
-                 std::int64_t nch, const Range2& win, float* dst) {
+/// Pack `nch` channel planes of samples [k0, k0 + kn) of `t` over the window
+/// `win` into a dense nch × (kn · win.area()) matrix: each row holds the
+/// samples' windows side by side, in sample order.
+void pack_windows(const Tensor<float>& t, Origin2 to, std::int64_t k0,
+                  std::int64_t kn, std::int64_t nch, const Range2& win,
+                  float* dst) {
   const auto& st = t.strides();
   const std::int64_t ww = win.w1 - win.w0;
   const std::int64_t rows = win.area();
-  parallel::parallel_for(0, nch, 1, [&](std::int64_t f0, std::int64_t f1) {
-    for (std::int64_t f = f0; f < f1; ++f) {
-      float* out = dst + f * rows;
+  parallel::parallel_for(0, nch * kn, 1, [&](std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      float* out = dst + i * rows;  // row f = i / kn, sample k0 + i % kn
       for (std::int64_t jh = win.h0; jh < win.h1; ++jh) {
-        const float* src =
-            t.data() + st.offset(sample, f, jh - to.h, win.w0 - to.w);
+        const float* src = t.data() + st.offset(k0 + i % kn, i / kn, jh - to.h,
+                                                win.w0 - to.w);
         std::copy(src, src + ww, out);
         out += ww;
       }
@@ -378,99 +247,173 @@ void pack_window(const Tensor<float>& t, Origin2 to, std::int64_t sample,
   });
 }
 
-/// Output positions a strip buffer holds for range `r` under strip height
-/// `hb`: one full strip, or only what the range covers when it is shorter.
-std::int64_t strip_capacity(const Range2& r, std::int64_t hb) {
-  return std::min(hb, r.h1 - r.h0) * (r.w1 - r.w0);
-}
-
-/// For a 1×1 stride-1 unpadded layer, a buffer's channel planes *are* the
-/// lowering matrix whenever each plane's rows are dense over the range
-/// (row stride == range width, zero horizontal offset): element (c, h, w)
-/// sits at plane base + c·(channel stride). Densely laid out buffers then
-/// skip the pack entirely.
-bool dense_planes(const Tensor<float>& t, Origin2 to, const Range2& r) {
-  return t.strides().h == (r.w1 - r.w0) && r.w0 == to.w;
-}
-
-void conv2d_backward_data_direct(const Tensor<float>& dy, Origin2 dyo,
-                                 const Tensor<float>& w, Tensor<float>& dx,
-                                 Origin2 dxo, const ConvParams& p, const Range2& r,
-                                 std::int64_t out_h, std::int64_t out_w) {
-  const std::int64_t N = dx.shape().n;
-  const std::int64_t F = w.shape().n;
-  const std::int64_t C = w.shape().c;
-  const auto& dyst = dy.strides();
-  const auto& wst = w.strides();
-  const std::int64_t rh = r.h1 - r.h0;
-  // Each (sample, input row) writes a disjoint dx row.
-  parallel::parallel_for(0, N * rh, 1, [&](std::int64_t t0, std::int64_t t1) {
-    std::vector<float> acc(C);
+/// col2im: set dx over `rs` for samples [k0, k0 + kn) to the sum of the dcol
+/// elements whose (c, a, b) tap and (jh, jw) output position land there.
+/// dcol has one row of `ld` floats per tap (c, a, b); sample k0 + s owns its
+/// columns [s, s + 1) · win.area(). Each (sample, channel) task owns plane
+/// (k, c) and adds in a fixed (a, b, jh, jw) order per element.
+void col2im(const float* dcol, std::int64_t ld, Tensor<float>& dx, Origin2 dxo,
+            const ConvParams& p, std::int64_t C, std::int64_t k0,
+            std::int64_t kn, const Range2& rs, const Range2& win) {
+  const auto& dxst = dx.strides();
+  const std::int64_t rows = win.area();
+  const std::int64_t ww = win.w1 - win.w0;
+  parallel::parallel_for(0, kn * C, 1, [&](std::int64_t t0, std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t k = t / rh;
-      const std::int64_t gi = r.h0 + t % rh;
-      // Output rows jh with a = gi + ph - sh·jh ∈ [0, kh), jh ∈ [0, out_h).
-      const std::int64_t jh_lo =
-          std::max<std::int64_t>(0, ceil_div(gi + p.ph - p.kh + 1, p.sh));
-      const std::int64_t jh_hi =
-          std::min<std::int64_t>(out_h - 1, floor_div(gi + p.ph, p.sh));
-      for (std::int64_t gj = r.w0; gj < r.w1; ++gj) {
-        const std::int64_t jw_lo =
-            std::max<std::int64_t>(0, ceil_div(gj + p.pw - p.kw + 1, p.sw));
-        const std::int64_t jw_hi =
-            std::min<std::int64_t>(out_w - 1, floor_div(gj + p.pw, p.sw));
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (std::int64_t jh = jh_lo; jh <= jh_hi; ++jh) {
-          const std::int64_t a = gi + p.ph - p.sh * jh;
-          for (std::int64_t jw = jw_lo; jw <= jw_hi; ++jw) {
-            const std::int64_t b = gj + p.pw - p.sw * jw;
-            for (std::int64_t f = 0; f < F; ++f) {
-              const float g = dy.data()[dyst.offset(k, f, jh - dyo.h, jw - dyo.w)];
-              const float* wbase = w.data() + wst.offset(f, 0, a, b);
-              for (std::int64_t c = 0; c < C; ++c) {
-                acc[c] += g * wbase[c * wst.c];
+      const std::int64_t k = k0 + t / C;
+      const std::int64_t c = t % C;
+      // Positions no output window reaches must read 0.
+      for (std::int64_t gi = rs.h0; gi < rs.h1; ++gi) {
+        float* row = dx.data() + dxst.offset(k, c, gi - dxo.h, rs.w0 - dxo.w);
+        std::fill(row, row + (rs.w1 - rs.w0), 0.0f);
+      }
+      if (win.empty()) continue;
+      const float* base = dcol + (t / C) * rows;
+      for (int a = 0; a < p.kh; ++a) {
+        for (int b = 0; b < p.kw; ++b) {
+          const float* src = base + ((c * p.kh + a) * p.kw + b) * ld;
+          for (std::int64_t jh = win.h0; jh < win.h1; ++jh) {
+            const std::int64_t gi = jh * p.sh - p.ph + a;
+            if (gi < rs.h0 || gi >= rs.h1) continue;
+            const float* srow = src + (jh - win.h0) * ww;
+            float* drow = dx.data() + dxst.offset(k, c, gi - dxo.h, -dxo.w);
+            if (p.sw == 1 && p.pw == b && win.w0 == rs.w0 && win.w1 == rs.w1) {
+              // Fast path: unit horizontal stride with aligned window.
+              for (std::int64_t jw = win.w0; jw < win.w1; ++jw) {
+                drow[jw] += srow[jw - win.w0];
+              }
+            } else {
+              for (std::int64_t jw = win.w0; jw < win.w1; ++jw) {
+                const std::int64_t gj = jw * p.sw - p.pw + b;
+                if (gj < rs.w0 || gj >= rs.w1) continue;
+                drow[gj] += srow[jw - win.w0];
               }
             }
           }
-        }
-        for (std::int64_t c = 0; c < C; ++c) {
-          dx(k, c, gi - dxo.h, gj - dxo.w) = acc[c];
         }
       }
     }
   });
 }
 
+/// Backward data of an unpadded 1×1 layer: dx = dy · W at the input
+/// positions the outputs sample — the forward pass of the transposed layer,
+/// an implicit GEMM over the window positions of every sample, read and
+/// written in place (M = positions, N = C, k = F). With one tap there is no
+/// col2im: each dx element is its dcol element, summed over F in the same
+/// kKc blocks as the col2im path's sgemm, so the bits are the same. A
+/// strided layer sets the input positions no output reads to zero.
+void backward_data_1x1(const Tensor<float>& dy, Origin2 dyo,
+                       const Tensor<float>& w, Tensor<float>& dx, Origin2 dxo,
+                       const ConvParams& p, const Range2& r, std::int64_t out_h,
+                       std::int64_t out_w) {
+  const std::int64_t N = dx.shape().n;
+  const std::int64_t F = w.shape().n;
+  const std::int64_t C = w.shape().c;
+  const auto& dxst = dx.strides();
+  if (p.sh > 1 || p.sw > 1) {
+    parallel::parallel_for(0, N * C, 1, [&](std::int64_t t0, std::int64_t t1) {
+      for (std::int64_t t = t0; t < t1; ++t) {
+        for (std::int64_t gi = r.h0; gi < r.h1; ++gi) {
+          float* row =
+              dx.data() + dxst.offset(t / C, t % C, gi - dxo.h, r.w0 - dxo.w);
+          std::fill(row, row + (r.w1 - r.w0), 0.0f);
+        }
+      }
+    });
+  }
+  const Range2 win = gather_window(p, r, out_h, out_w);
+  if (win.empty()) return;
+  std::vector<std::int64_t> dxpos, dypos;
+  dxpos.reserve(static_cast<std::size_t>(N * win.area()));
+  dypos.reserve(dxpos.capacity());
+  for (std::int64_t k = 0; k < N; ++k) {
+    append_positions(dxst, dxo, dy.strides(), dyo, p, k, win, dxpos, dypos);
+  }
+  std::vector<std::int64_t> dyk(static_cast<std::size_t>(F));
+  std::vector<std::int64_t> wk(dyk.size());
+  for (std::int64_t f = 0; f < F; ++f) {
+    dyk[f] = f * dy.strides().c;
+    wk[f] = f * C;
+  }
+  IndirectGemm g;
+  g.m = static_cast<std::int64_t>(dypos.size());
+  g.n = C;
+  g.a = dy.data();
+  g.a_row = dypos.data();
+  g.a_k = dyk.data();
+  g.b = w.data();
+  g.b_k = wk.data();
+  g.b_col = 1;
+  g.c = dx.data();
+  g.c_row = dxpos.data();
+  g.c_col = dxst.c;
+  sgemm_indirect(g, {F}, /*accumulate=*/false);
+}
+
+/// Input rows per backward-data strip over a range whose gather window is
+/// `win`: the strip budget's output rows, times the vertical stride.
+std::int64_t backward_data_strip_rows(const ConvParams& p, std::int64_t ckk,
+                                      const Range2& win) {
+  return std::max<std::int64_t>(
+      1, gemm_strip_height(ckk, std::max<std::int64_t>(1, win.w1 - win.w0)) *
+             p.sh);
+}
+
+}  // namespace
+
+std::int64_t backward_data_batch(const ConvParams& p, std::int64_t c,
+                                 std::int64_t n, const Range2& r,
+                                 std::int64_t out_h, std::int64_t out_w) {
+  const std::int64_t ckk = c * p.kh * p.kw;
+  const Range2 win = gather_window(p, r, out_h, out_w);
+  if (r.h1 - r.h0 > backward_data_strip_rows(p, ckk, win)) return 1;
+  return std::clamp<std::int64_t>(
+      kStripElems / std::max<std::int64_t>(1, ckk * win.area()), 1, n);
+}
+
 /// col2im backward data: dcol = Wᵀ · dy over the gather window, scattered
 /// back into dx. Processed in input-row strips so the dcol buffer stays
-/// bounded; each strip owns its dx rows, and within a strip channel c owns
-/// plane (k, c), so the scatter parallelizes over channels with a fixed
-/// (a, b, jh, jw) accumulation order per element.
+/// within the strip budget; each strip owns its dx rows.
 ///
 /// When kh > sh, consecutive strips' gather windows overlap by the
 /// transposed stencil's reach (~(kh−1)/sh output rows). Each dcol element
 /// depends only on its (jh, jw) output position, so the overlapping rows
-/// are copied out of the previous strip's packed panel instead of being
+/// are copied out of the previous strip's panel instead of being
 /// recomputed — the GEMM and the dy pack run over the fresh rows alone.
-/// Values are bitwise identical either way (the GEMM's per-element k-chain
-/// does not depend on which n-columns share a call).
-void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
-                               const Tensor<float>& w, Tensor<float>& dx,
-                               Origin2 dxo, const ConvParams& p, const Range2& r,
-                               std::int64_t out_h, std::int64_t out_w) {
+///
+/// When one strip covers the range, the dy windows of consecutive samples
+/// sit side by side as the columns of one sgemm, as many as the strip
+/// budget holds: small planes (a few output positions per sample) then
+/// pack Wᵀ once per batch rather than once per sample. Batches only form
+/// over a single strip, so they never meet the row reuse.
+///
+/// Values are bitwise identical under any strip reuse or batching: the
+/// GEMM's per-element k-chain does not depend on which n-columns share a
+/// call. Unpadded 1×1 layers take backward_data_1x1 instead, with the same
+/// bits.
+void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
+                          const Tensor<float>& w, Tensor<float>& dx, Origin2 dxo,
+                          const ConvParams& p, const Range2& r, std::int64_t out_h,
+                          std::int64_t out_w) {
+  check_weights(w, p);
+  if (r.empty()) return;
   const std::int64_t N = dx.shape().n;
   const std::int64_t F = w.shape().n;
   const std::int64_t C = w.shape().c;
+  if (p.kh == 1 && p.kw == 1 && p.ph == 0 && p.pw == 0) {
+    backward_data_1x1(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
+    return;
+  }
   const std::int64_t ckk = C * p.kh * p.kw;
-  const auto& dxst = dx.strides();
+  const std::int64_t batch = backward_data_batch(p, C, N, r, out_h, out_w);
   // Strip the input rows; the corresponding output window grows by the
   // transposed stencil's reach (kh / sh rows).
-  const Range2 full_win = gather_window(p, r, out_h, out_w);
-  const std::int64_t win_w = std::max<std::int64_t>(1, full_win.w1 - full_win.w0);
-  const std::int64_t hb = std::max<std::int64_t>(
-      1, gemm_strip_height(ckk, win_w) * p.sh);
+  const std::int64_t hb =
+      backward_data_strip_rows(p, ckk, gather_window(p, r, out_h, out_w));
   std::vector<float> dyp, dcol_a, dcol_b;
-  for (std::int64_t k = 0; k < N; ++k) {
+  for (std::int64_t k0 = 0; k0 < N; k0 += batch) {
+    const std::int64_t kn = std::min(batch, N - k0);
     std::vector<float>* dcol = &dcol_a;
     std::vector<float>* dcol_prev = &dcol_b;
     Range2 prev_win{0, 0, 0, 0};
@@ -478,26 +421,18 @@ void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
     for (std::int64_t g0 = r.h0; g0 < r.h1; g0 += hb) {
       const Range2 rs{g0, std::min(r.h1, g0 + hb), r.w0, r.w1};
       const Range2 win = gather_window(p, rs, out_h, out_w);
-      // Zero the strip's dx rows (positions with no contributing outputs
-      // must read 0, and the scatter accumulates).
-      parallel::parallel_for(0, C, 1, [&](std::int64_t c0, std::int64_t c1) {
-        for (std::int64_t c = c0; c < c1; ++c) {
-          for (std::int64_t gi = rs.h0; gi < rs.h1; ++gi) {
-            float* row =
-                dx.data() + dxst.offset(k, c, gi - dxo.h, rs.w0 - dxo.w);
-            std::fill(row, row + (rs.w1 - rs.w0), 0.0f);
-          }
-        }
-      });
       if (win.empty()) {
+        col2im(nullptr, 0, dx, dxo, p, C, k0, kn, rs, win);
         prev_valid = false;
         continue;
       }
       const std::int64_t rows = win.area();
       const std::int64_t ww = win.w1 - win.w0;
-      dcol->resize(static_cast<std::size_t>(ckk) * rows);
-      // Output rows [win.h0, prev_win.h1) were packed by the previous strip
-      // (the w-range is strip-invariant); copy them, GEMM the rest.
+      const std::int64_t ld = kn * rows;
+      dcol->resize(static_cast<std::size_t>(ckk) * ld);
+      // Output rows [win.h0, prev_win.h1) were computed by the previous
+      // strip (the w-range is strip-invariant, and kn == 1 past the first
+      // strip); copy them, GEMM the rest.
       const std::int64_t reuse_rows =
           prev_valid
               ? std::max<std::int64_t>(
@@ -517,42 +452,14 @@ void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
       }
       if (win.h0 + reuse_rows < win.h1) {
         const Range2 fresh{win.h0 + reuse_rows, win.h1, win.w0, win.w1};
-        const std::int64_t fresh_rows = fresh.area();
-        dyp.resize(static_cast<std::size_t>(F) * fresh_rows);
-        pack_window(dy, dyo, k, F, fresh, dyp.data());
-        // dcol[:, fresh] (ckk × fresh_rows) = Wᵀ (ckk × F) · dy (F × fresh_rows)
-        sgemm(true, false, ckk, fresh_rows, F, 1.0f, w.data(), ckk, dyp.data(),
-              fresh_rows, 0.0f, dcol->data() + reuse_rows * ww, rows);
+        const std::int64_t cols = kn * fresh.area();
+        dyp.resize(static_cast<std::size_t>(F) * cols);
+        pack_windows(dy, dyo, k0, kn, F, fresh, dyp.data());
+        // dcol[:, fresh] (ckk × cols) = Wᵀ (ckk × F) · dy (F × cols)
+        sgemm(true, false, ckk, cols, F, 1.0f, w.data(), ckk, dyp.data(), cols,
+              0.0f, dcol->data() + reuse_rows * ww, ld);
       }
-      parallel::parallel_for(0, C, 1, [&](std::int64_t c0, std::int64_t c1) {
-        for (std::int64_t c = c0; c < c1; ++c) {
-          for (int a = 0; a < p.kh; ++a) {
-            for (int b = 0; b < p.kw; ++b) {
-              const float* src =
-                  dcol->data() + ((c * p.kh + a) * p.kw + b) * rows;
-              for (std::int64_t jh = win.h0; jh < win.h1; ++jh) {
-                const std::int64_t gi = jh * p.sh - p.ph + a;
-                if (gi < rs.h0 || gi >= rs.h1) continue;
-                const float* srow = src + (jh - win.h0) * ww;
-                float* drow = dx.data() + dxst.offset(k, c, gi - dxo.h, -dxo.w);
-                if (p.sw == 1 && p.pw == b && win.w0 == rs.w0 &&
-                    win.w1 == rs.w1) {
-                  // Fast path: unit horizontal stride with aligned window.
-                  for (std::int64_t jw = win.w0; jw < win.w1; ++jw) {
-                    drow[jw] += srow[jw - win.w0];
-                  }
-                } else {
-                  for (std::int64_t jw = win.w0; jw < win.w1; ++jw) {
-                    const std::int64_t gj = jw * p.sw - p.pw + b;
-                    if (gj < rs.w0 || gj >= rs.w1) continue;
-                    drow[gj] += srow[jw - win.w0];
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
+      col2im(dcol->data(), ld, dx, dxo, p, C, k0, kn, rs, win);
       prev_win = win;
       prev_valid = true;
       std::swap(dcol, dcol_prev);
@@ -560,157 +467,21 @@ void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
   }
 }
 
-/// Zero-copy backward data for 1×1 stride-1 unpadded layers: dx = Wᵀ·dy per
-/// strip, straight between buffer planes — the gather window degenerates to
-/// the range itself, so the col2im scatter disappears. Bitwise identical to
-/// col2im (its dx = 0 + dcol copy cannot change bits: micro-kernel
-/// accumulators never produce -0, so adding dcol onto zero is the identity).
-void conv2d_backward_data_gemm_strips(const Tensor<float>& dy, Origin2 dyo,
-                                      const Tensor<float>& w, Tensor<float>& dx,
-                                      Origin2 dxo, const ConvParams& p,
-                                      const Range2& r, std::int64_t out_h,
-                                      std::int64_t out_w) {
-  if (r.h0 < 0 || r.h1 > out_h || r.w0 < 0 || r.w1 > out_w) {
-    // The window would clip; keep the general path (identical results).
-    conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
-    return;
-  }
-  const std::int64_t N = dx.shape().n;
-  const std::int64_t F = w.shape().n;
-  const std::int64_t C = w.shape().c;
-  const std::int64_t rw = r.w1 - r.w0;
-  const auto& dyst = dy.strides();
-  const auto& dxst = dx.strides();
-  const bool dy_dense = dense_planes(dy, dyo, r);
-  const bool dx_dense = dense_planes(dx, dxo, r);
-  const std::int64_t hb = gemm_strip_height(C, rw);
-  const std::int64_t cap = strip_capacity(r, hb);
-  std::vector<float> dyp, dcol;
-  if (!dy_dense) dyp.resize(static_cast<std::size_t>(F * cap));
-  if (!dx_dense) dcol.resize(static_cast<std::size_t>(C * cap));
-  for (std::int64_t k = 0; k < N; ++k) {
-    for (std::int64_t g0 = r.h0; g0 < r.h1; g0 += hb) {
-      const Range2 rs{g0, std::min(r.h1, g0 + hb), r.w0, r.w1};
-      const std::int64_t rows = rs.area();
-      const float* b;
-      std::int64_t ldb;
-      if (dy_dense) {
-        b = dy.data() + dyst.offset(k, 0, rs.h0 - dyo.h, 0);
-        ldb = dyst.c;
-      } else {
-        pack_window(dy, dyo, k, F, rs, dyp.data());
-        b = dyp.data();
-        ldb = rows;
-      }
-      // dx (C × rows) = Wᵀ (C × F) · dy (F × rows)
-      if (dx_dense) {
-        sgemm(true, false, C, rows, F, 1.0f, w.data(), C, b, ldb, 0.0f,
-              dx.data() + dxst.offset(k, 0, rs.h0 - dxo.h, 0), dxst.c);
-      } else {
-        sgemm(true, false, C, rows, F, 1.0f, w.data(), C, b, ldb, 0.0f,
-              dcol.data(), rows);
-        parallel::parallel_for(0, C, 1, [&](std::int64_t c0, std::int64_t c1) {
-          for (std::int64_t c = c0; c < c1; ++c) {
-            const float* src = dcol.data() + c * rows;
-            for (std::int64_t gi = rs.h0; gi < rs.h1; ++gi) {
-              float* drow =
-                  dx.data() + dxst.offset(k, c, gi - dxo.h, rs.w0 - dxo.w);
-              std::fill(drow, drow + rw, 0.0f);
-              for (std::int64_t j = 0; j < rw; ++j) drow[j] += src[j];
-              src += rw;
-            }
-          }
-        });
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
-                          const Tensor<float>& w, Tensor<float>& dx, Origin2 dxo,
-                          const ConvParams& p, const Range2& r, std::int64_t out_h,
-                          std::int64_t out_w, ConvAlgo algo) {
-  check_weights(w, p);
-  if (r.empty()) return;
-  switch (dispatch_algo(algo, p, w.shape().c, w.shape().n)) {
-    case ConvAlgo::kDirect:
-      conv2d_backward_data_direct(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
-      break;
-    case ConvAlgo::kGemm:
-      // A 1×1 stride-1 unpadded layer needs no col2im at all.
-      if (p.kh == 1 && p.kw == 1 && p.sh == 1 && p.sw == 1 && p.ph == 0 &&
-          p.pw == 0) {
-        conv2d_backward_data_gemm_strips(dy, dyo, w, dx, dxo, p, r, out_h,
-                                         out_w);
-      } else {
-        conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
-      }
-      break;
-    case ConvAlgo::kAuto:
-      DC_FAIL("unresolved convolution algorithm");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Backward filter
 // ---------------------------------------------------------------------------
-
-namespace {
-
-void conv2d_backward_filter_direct(const Tensor<float>& x, Origin2 xo,
-                                   const Tensor<float>& dy, Origin2 dyo,
-                                   Tensor<float>& dw, const ConvParams& p,
-                                   const Range2& r) {
-  const std::int64_t N = dy.shape().n;
-  const std::int64_t F = dw.shape().n;
-  const std::int64_t C = dw.shape().c;
-  const auto& xst = x.strides();
-  const auto& dyst = dy.strides();
-  // Each (filter, channel) owns a disjoint dw plane; the (k, a, b, rows)
-  // reduction order inside is fixed.
-  parallel::parallel_for(0, F * C, 1, [&](std::int64_t t0, std::int64_t t1) {
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t f = t / C;
-      const std::int64_t c = t % C;
-      for (int a = 0; a < p.kh; ++a) {
-        for (int b = 0; b < p.kw; ++b) {
-          float acc = 0.0f;
-          for (std::int64_t k = 0; k < N; ++k) {
-            for (std::int64_t gh = r.h0; gh < r.h1; ++gh) {
-              const std::int64_t ih = gh * p.sh - p.ph + a - xo.h;
-              const float* dyrow =
-                  dy.data() + dyst.offset(k, f, gh - dyo.h, r.w0 - dyo.w);
-              const float* xrow =
-                  x.data() + xst.offset(k, c, ih, r.w0 * p.sw - p.pw + b - xo.w);
-              if (p.sw == 1) {
-                for (std::int64_t j = 0; j < r.w1 - r.w0; ++j) {
-                  acc += dyrow[j] * xrow[j];
-                }
-              } else {
-                for (std::int64_t j = 0; j < r.w1 - r.w0; ++j) {
-                  acc += dyrow[j] * xrow[j * p.sw];
-                }
-              }
-            }
-          }
-          dw(f, c, a, b) += acc;
-        }
-      }
-    }
-  });
-}
 
 /// Implicit-GEMM backward filter: dwᵀ (C·Kh·Kw × F) += X_kᵀ · dy_k, with
 /// the taps as M, the filters as N, and X read straight from the haloed
 /// input. Each (sample, strip of gemm_strip_height rows) is one
 /// accumulation chain over its output positions, in the order of a GEMM on
 /// the lowered input per strip — so dw keeps its exact bits.
-void conv2d_backward_filter_gemm(const Tensor<float>& x, Origin2 xo,
-                                 const Tensor<float>& dy, Origin2 dyo,
-                                 Tensor<float>& dw, const ConvParams& p,
-                                 const Range2& r) {
+void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
+                            const Tensor<float>& dy, Origin2 dyo, Tensor<float>& dw,
+                            const ConvParams& p, const Range2& r, bool accumulate) {
+  check_weights(dw, p);
+  if (!accumulate) dw.zero();
+  if (r.empty()) return;
   const std::int64_t N = dy.shape().n;
   const std::int64_t F = dw.shape().n;
   const std::int64_t C = dw.shape().c;
@@ -742,28 +513,6 @@ void conv2d_backward_filter_gemm(const Tensor<float>& x, Origin2 xo,
   g.c_row = dwrow.data();
   g.c_col = ckk;
   sgemm_indirect(g, chain_end, /*accumulate=*/true);
-}
-
-}  // namespace
-
-void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
-                            const Tensor<float>& dy, Origin2 dyo, Tensor<float>& dw,
-                            const ConvParams& p, const Range2& r, bool accumulate,
-                            ConvAlgo algo) {
-  check_weights(dw, p);
-  const ConvAlgo run = dispatch_algo(algo, p, dw.shape().c, dw.shape().n);
-  if (!accumulate) dw.zero();
-  if (r.empty()) return;
-  switch (run) {
-    case ConvAlgo::kDirect:
-      conv2d_backward_filter_direct(x, xo, dy, dyo, dw, p, r);
-      break;
-    case ConvAlgo::kGemm:
-      conv2d_backward_filter_gemm(x, xo, dy, dyo, dw, p, r);
-      break;
-    case ConvAlgo::kAuto:
-      DC_FAIL("unresolved convolution algorithm");
-  }
 }
 
 }  // namespace distconv::kernels

@@ -1,6 +1,6 @@
 // Convolution kernels (the cuDNN stand-in of the reproduction).
 //
-// Two families:
+// Two kinds:
 //
 //  * "padded" kernels — self-contained oracles over plain tensors with
 //    explicit zero-padding bounds checks. Used as the single-device reference
@@ -12,7 +12,13 @@
 //    element (0,0)); the kernel computes an arbitrary global output Range2,
 //    which is how the interior/boundary decomposition for halo overlap
 //    (§IV-A) is expressed: the interior range is computed while halos fly,
-//    the boundary ranges afterwards.
+//    the boundary ranges afterwards. They are one GEMM family for every
+//    layer shape: forward and backward-filter are implicit GEMMs gathered
+//    straight from the haloed input (no lowered copy), backward-data is an
+//    sgemm (dcol = Wᵀ·dy) plus a col2im scatter. When one strip covers a
+//    backward-data range, the dy windows of consecutive samples share one
+//    sgemm (see conv2d_backward_data). Every choice depends on shapes only,
+//    so results are bitwise reproducible across ranks and thread budgets.
 //
 // Layout: x is N×C×H×W, weights are F×C×Kh×Kw, y is N×F×H̃×W̃ (Eq. 1-3).
 #pragma once
@@ -46,42 +52,21 @@ struct Range2 {
   std::int64_t area() const { return empty() ? 0 : (h1 - h0) * (w1 - w0); }
 };
 
-enum class ConvAlgo {
-  kDirect,  ///< straight loop nests (forward stencil / backward gather)
-  kGemm,    ///< GEMM-backed: implicit GEMM gathered from the haloed input
-            ///< (fwd, bwd-filter); col2im (bwd-data), pack-free for 1×1
-            ///< stride-1 unpadded layers
-  kAuto,    ///< resolve_conv_algo's layer-constant rule, the
-            ///< cuDNN-heuristic stand-in
-};
-
-/// Short stable names for env knobs and bench dumps
-/// ("direct", "gemm", "auto").
-const char* conv_algo_name(ConvAlgo algo);
-/// Inverse of conv_algo_name; false when `s` names no algorithm.
-bool parse_conv_algo(const char* s, ConvAlgo* out);
-
-/// Debugging escape hatch: force every kAuto dispatch to one family. Seeded
-/// from DC_CONV_ALGO at first use; tests override it programmatically
-/// (kAuto restores the rule).
-void set_conv_algo_override(ConvAlgo algo);
-ConvAlgo conv_algo_override();
-
-/// Resolve kAuto for a layer. Depends only on layer constants (channels,
-/// filters, kernel, stride, padding) — never on the local range or the
-/// thread budget — so every rank of a distributed run picks the same
-/// algorithm and results stay bitwise reproducible across decompositions.
-/// The GEMM path wins once the contraction depth C·Kh·Kw and the filter
-/// count fill the micro-kernel's register tile.
-ConvAlgo resolve_conv_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
-                           std::int64_t f);
-
 /// Output rows per strip of the GEMM passes for `depth` = C·Kh·Kw floats per
 /// output position over rows `rw` wide (~2 MiB of lowering per strip).
 /// Depends on shapes only. Backward-filter runs one accumulation chain per
 /// (sample, strip), so this rule is part of dw's bits; backward-data's
 /// strips only bound its col2im buffer.
 std::int64_t gemm_strip_height(std::int64_t depth, std::int64_t rw);
+
+/// Samples whose dy windows share one col2im backward-data sgemm over the
+/// input range `r` of a layer with `c` input channels and `n` samples: as
+/// many as the strip budget holds when one strip covers `r`, else 1.
+/// Depends on shapes only, and never changes bits (see
+/// conv2d_backward_data).
+std::int64_t backward_data_batch(const ConvParams& p, std::int64_t c,
+                                 std::int64_t n, const Range2& r,
+                                 std::int64_t out_h, std::int64_t out_w);
 
 // --- padded oracles --------------------------------------------------------
 
@@ -106,27 +91,27 @@ void conv2d_backward_filter_padded(const Tensor<float>& x, const Tensor<float>& 
 /// margins encode padding). N and C/F extents are taken from the buffers.
 void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
                     Tensor<float>& y, Origin2 yo, const ConvParams& p,
-                    const Range2& out_range, ConvAlgo algo = ConvAlgo::kAuto);
+                    const Range2& out_range);
 
 /// Compute dx over the global input range `in_range` by gathering from dy
 /// (Eq. 3 adapted: for each input position, sum the output positions whose
 /// window covers it). `out_h/out_w` are the global output extents used to
-/// clip the gather at domain boundaries. kGemm computes dcol = Wᵀ·dy with
-/// the tiled GEMM and scatters it back via col2im.
+/// clip the gather at domain boundaries. Computes dcol = Wᵀ·dy with the
+/// tiled GEMM — one call for backward_data_batch samples — and scatters it
+/// back via col2im. Unpadded 1×1 layers have nothing to scatter: they run
+/// one implicit GEMM over every sample, writing dx in place.
 void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
                           const Tensor<float>& w, Tensor<float>& dx, Origin2 dxo,
                           const ConvParams& p, const Range2& in_range,
-                          std::int64_t out_h, std::int64_t out_w,
-                          ConvAlgo algo = ConvAlgo::kAuto);
+                          std::int64_t out_h, std::int64_t out_w);
 
 /// Accumulate the local contribution to dw over the global output range
 /// `out_range` (Eq. 2 restricted to I(p); the cross-rank allreduce happens at
-/// the layer level). kGemm computes dwᵀ += Xᵀ·dyᵀ with the implicit GEMM,
-/// one accumulation chain per (sample, gemm_strip_height strip).
+/// the layer level). Computes dwᵀ += Xᵀ·dyᵀ with the implicit GEMM, one
+/// accumulation chain per (sample, gemm_strip_height strip).
 void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
                             const Tensor<float>& dy, Origin2 dyo, Tensor<float>& dw,
                             const ConvParams& p, const Range2& out_range,
-                            bool accumulate = false,
-                            ConvAlgo algo = ConvAlgo::kAuto);
+                            bool accumulate = false);
 
 }  // namespace distconv::kernels

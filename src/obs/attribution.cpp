@@ -65,10 +65,10 @@ WaitCategory classify_wait(const char* label) {
   if (std::strstr(label, "shuffle") || std::strstr(label, "alltoall")) {
     return WaitCategory::kShuffle;
   }
-  if (std::strstr(label, "grad") || std::strstr(label, "allreduce") ||
-      std::strstr(label, "reduce_scatter")) {
-    return WaitCategory::kGradReduce;
-  }
+  // Only Model's gradient-completion ops: blocking allreduces (batchnorm
+  // statistics, the loss) and the channel-parallel forward reduce-scatter
+  // are other.
+  if (std::strcmp(label, "gradreduce") == 0) return WaitCategory::kGradReduce;
   return WaitCategory::kOther;
 }
 

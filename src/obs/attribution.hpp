@@ -9,9 +9,9 @@
 //                     drain (marked by TailPhase)
 //
 // The three terms sum to the wall clock by construction. Waits are
-// categorized by the active OpScope label (halo / shuffle / gradreduce /
-// other) so the exposed term can be split further without any plumbing
-// through the collectives.
+// categorized by the active OpScope wait label (halo / shuffle /
+// gradreduce / other) so the exposed term can be split further without
+// any plumbing through the collectives.
 //
 // Everything here is thread-local and lock-free; obs depends only on
 // support, so comm/core/serve can include it freely.
@@ -32,8 +32,10 @@ inline bool timing_enabled() {
 enum class WaitCategory : int { kHalo = 0, kShuffle, kGradReduce, kOther };
 constexpr int kWaitCategories = 4;
 
-/// Classify a blocking wait by the collective label that issued it
-/// (OpScope::current(): "halo-exchange", "shuffle", "iallreduce-rd", ...).
+/// Classify a blocking wait by the label of the op that issued it
+/// (OpScope::wait_label(): "halo-exchange", "shuffle", "allreduce-rd",
+/// "gradreduce", ...). Only "gradreduce" — the obs label Model gives its
+/// gradient-completion ops — is kGradReduce.
 WaitCategory classify_wait(const char* label);
 
 /// Per-thread blocked-time totals, monotonically increasing. Snapshot at

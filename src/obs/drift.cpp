@@ -1,24 +1,21 @@
 #include "obs/drift.hpp"
 
 #include <cctype>
-#include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "support/env.hpp"
 #include "support/logging.hpp"
 
 namespace distconv::obs {
 
 DriftOptions drift_options_from_env() {
   DriftOptions o;
-  if (const char* v = std::getenv("DC_OBS_DRIFT_EVERY")) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) o.every = static_cast<int>(n);
-  }
-  if (const char* v = std::getenv("DC_OBS_DRIFT_TOL")) {
-    const double t = std::strtod(v, nullptr);
-    if (t > 1) o.warn_ratio = t;
-  }
+  o.every = static_cast<int>(env_int("DC_OBS_DRIFT_EVERY", o.every,
+                                     std::numeric_limits<int>::max()));
+  o.warn_ratio = env_double("DC_OBS_DRIFT_TOL", o.warn_ratio, 1.0,
+                            std::numeric_limits<double>::infinity());
   return o;
 }
 

@@ -4,23 +4,18 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/env.hpp"
 
 namespace distconv::obs::stream {
 namespace {
-
-int env_int(const char* name) {
-  const char* v = std::getenv(name);
-  const long n = v ? std::strtol(v, nullptr, 10) : 0;
-  return n > 0 ? static_cast<int>(n) : 0;
-}
 
 // The flusher state is a function-local static (not leaked): its destructor
 // joins the thread at process exit, before the leaked trace/metrics
@@ -107,10 +102,12 @@ bool enabled_opts(const Options& o) {
 
 Options options_from_env() {
   Options o;
-  o.period_ms = env_int("DC_OBS_FLUSH_MS");
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  o.period_ms = static_cast<int>(env_int("DC_OBS_FLUSH_MS", 0, kIntMax));
   o.trace_dir = trace::configured_dir();
   o.metrics_path = metrics::configured_path();
-  o.keep_segments = env_int("DC_OBS_KEEP_SEGMENTS");
+  o.keep_segments =
+      static_cast<int>(env_int("DC_OBS_KEEP_SEGMENTS", 0, kIntMax));
   return o;
 }
 

@@ -15,6 +15,7 @@
 
 #include "obs/metrics.hpp"
 #include "support/atomic_file.hpp"
+#include "support/env.hpp"
 #include "support/logging.hpp"
 
 namespace distconv::obs::trace {
@@ -84,9 +85,7 @@ void count_drop() {
 std::size_t capacity() {
   std::size_t c = g_capacity.load(std::memory_order_relaxed);
   if (c == 0) {
-    const char* env = std::getenv("DC_TRACE_BUF");
-    long v = env ? std::strtol(env, nullptr, 10) : 0;
-    c = v > 0 ? static_cast<std::size_t>(v) : 16384;
+    c = capacity_from_env();
     g_capacity.store(c, std::memory_order_relaxed);
   }
   return c;
@@ -165,6 +164,11 @@ const std::string& configured_dir() {
     return std::string(d ? d : "");
   }();
   return dir;
+}
+
+std::size_t capacity_from_env() {
+  const std::int64_t v = env_int("DC_TRACE_BUF", 0, std::int64_t{1} << 30);
+  return v > 0 ? static_cast<std::size_t>(v) : 16384;
 }
 
 void set_capacity(std::size_t events) {

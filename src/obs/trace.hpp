@@ -35,6 +35,10 @@ const std::string& configured_dir();
 /// tiny ring to exercise wraparound). Initialized from DC_TRACE_BUF.
 void set_capacity(std::size_t events);
 
+/// Reads DC_TRACE_BUF now: 16384 when unset, empty or 0; throws an Error
+/// naming the variable unless it is an integer in [0, 2^30].
+std::size_t capacity_from_env();
+
 /// Nanoseconds on the steady clock since a process-wide epoch (first call).
 std::int64_t now_ns();
 

@@ -1,7 +1,7 @@
 // Names kept only for perfbench/driver.cpp, which still prints the planner
-// mode and clears the plan cache before each setup. kAuto now resolves in
-// kernels::resolve_conv_algo with a layer-constant rule, so no planner runs
-// and there is no cache. Delete this header with the benchmark's next change.
+// mode and clears the plan cache before each setup. Every convolution runs
+// the one GEMM family of kernels/conv, so no planner runs and there is no
+// cache. Delete this header with the benchmark's next change.
 #pragma once
 
 namespace distconv::perf {

@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -24,18 +26,38 @@ std::int64_t env_int(const char* name, std::int64_t fallback,
   return static_cast<std::int64_t>(v);
 }
 
-bool env_bool(const char* name, bool fallback) {
+double env_double(const char* name, double fallback, double min, double max) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return fallback;
-  if (std::strcmp(s, "1") == 0 || std::strcmp(s, "true") == 0 ||
-      std::strcmp(s, "on") == 0) {
-    return true;
+  // A digit or '.' first: strtod alone would also take blanks, a sign,
+  // "inf" and "nan".
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s, &end);
+  if (!(std::isdigit(static_cast<unsigned char>(*s)) || *s == '.') ||
+      *end != '\0' || errno != 0 || !std::isfinite(v) || v < min || v > max) {
+    DC_FAIL(name, " must be a number in [", min, ", ", max, "], got \"", s,
+            "\"");
   }
-  if (std::strcmp(s, "0") == 0 || std::strcmp(s, "false") == 0 ||
-      std::strcmp(s, "off") == 0) {
-    return false;
+  return v;
+}
+
+int env_choice(const char* name, std::initializer_list<const char*> choices,
+               int fallback) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return fallback;
+  int i = 0;
+  std::string spelled;
+  for (const char* c : choices) {
+    if (std::strcmp(s, c) == 0) return i;
+    spelled += (i++ == 0 ? "" : "|") + std::string(c);
   }
-  DC_FAIL(name, " must be one of 1|true|on|0|false|off, got \"", s, "\"");
+  DC_FAIL(name, " must be one of ", spelled, ", got \"", s, "\"");
+}
+
+bool env_bool(const char* name, bool fallback) {
+  return env_choice(name, {"1", "true", "on", "0", "false", "off"},
+                    fallback ? 0 : 3) < 3;
 }
 
 }  // namespace distconv

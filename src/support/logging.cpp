@@ -30,28 +30,15 @@ const char* level_name(Level l) {
 void set_level(Level level) { g_level.store(level, std::memory_order_relaxed); }
 Level level() { return g_level.load(std::memory_order_relaxed); }
 
-bool parse_level(const std::string& name, Level* out) {
-  if (name == "debug") *out = Level::kDebug;
-  else if (name == "info") *out = Level::kInfo;
-  else if (name == "warn") *out = Level::kWarn;
-  else if (name == "error") *out = Level::kError;
-  else if (name == "off") *out = Level::kOff;
-  else return false;
-  return true;
+Level level_from_env() {
+  return static_cast<Level>(
+      env_choice("DC_LOG_LEVEL", {"debug", "info", "warn", "error", "off"},
+                 static_cast<int>(level())));
 }
 
 void init_from_env() {
   static const bool once = [] {
-    if (const char* lvl = std::getenv("DC_LOG_LEVEL")) {
-      Level parsed;
-      if (parse_level(lvl, &parsed)) {
-        set_level(parsed);
-      } else {
-        write(Level::kWarn,
-              std::string("DC_LOG_LEVEL=") + lvl +
-                  " is not one of debug/info/warn/error/off; keeping default");
-      }
-    }
+    set_level(level_from_env());
     if (std::getenv("DC_LOG_RANK0_ONLY") != nullptr) {
       set_rank0_only(rank0_only_from_env());
     }

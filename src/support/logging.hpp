@@ -12,9 +12,9 @@ enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void set_level(Level level);
 Level level();
 
-/// Parse a level name ("debug", "info", "warn", "error", "off"); returns
-/// false (and leaves `out` untouched) for anything else.
-bool parse_level(const std::string& name, Level* out);
+/// Reads DC_LOG_LEVEL now: level() when unset or empty; throws an Error
+/// naming the variable unless it is one of debug|info|warn|error|off.
+Level level_from_env();
 
 /// Read DC_LOG_LEVEL into set_level and DC_LOG_RANK0_ONLY into
 /// set_rank0_only. Idempotent; World::run calls it before spawning ranks.

@@ -8,11 +8,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "comm/collectives.hpp"
 #include "comm/comm.hpp"
 #include "comm/mailbox.hpp"
+#include "comm/nonblocking.hpp"
 #include "comm/world.hpp"
 #include "core/layers.hpp"
 #include "core/model.hpp"
@@ -91,6 +94,31 @@ TEST(Watchdog, EveryBlockedRankRaisesInAllreduce) {
     ASSERT_FALSE(caught[r].empty()) << "rank " << r << " did not raise";
     EXPECT_NE(caught[r].find("allreduce"), std::string::npos) << caught[r];
   }
+}
+
+TEST(Watchdog, HungDrainNamesTheOpNotItsObsLabel) {
+  // A gradient-completion op waits under its obs label ("gradreduce") for
+  // attribution, but a hung drain still names the op itself.
+  CommTimeoutGuard guard(150);
+  World world(2);
+  std::string caught;
+  world.run([&](Comm& comm) {
+    if (comm.rank() == 1) return;  // never joins
+    float x = 1.0f;
+    auto op = std::make_unique<NbAllreduceRd<float>>(comm, &x, 1,
+                                                     ReduceOp::kSum);
+    op->set_obs_label("gradreduce");
+    CollectiveEngine engine;
+    engine.enqueue(std::move(op));
+    try {
+      engine.drain();
+      FAIL() << "drain with a missing rank must not complete";
+    } catch (const CommTimeoutError& e) {
+      caught = e.what();
+    }
+  });
+  EXPECT_NE(caught.find("watchdog: iallreduce-rd"), std::string::npos)
+      << caught;
 }
 
 TEST(Watchdog, AbortNamesTheFailingRank) {

@@ -1,8 +1,7 @@
-// Algorithm-family exactness: the GEMM class computes every output element
-// from fixed operands in a fixed chain, so splitting a 1×1 stride-1 layer's
-// range — which moves backward-data between its pack-free and packing
-// paths — must not change a bit. The DC_CONV_ALGO override is checked to
-// really take over the dispatch.
+// GEMM-family exactness: every output element is computed from fixed
+// operands in a fixed chain, so splitting a 1×1 stride-1 layer's range —
+// which restarts the implicit GEMM's positions, tiles and strips
+// mid-tensor — must not change a bit.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -34,19 +33,12 @@ Case make_case(std::int64_t n, std::int64_t c, std::int64_t f, std::int64_t h,
   return cs;
 }
 
-void expect_bitwise(const Tensor<float>& a, const Tensor<float>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                        static_cast<std::size_t>(a.size()) * sizeof(float)),
-            0);
-}
-
 // 64 channels over 64-wide rows: a 1×1 strip holds 8192 positions, i.e.
 // 128 rows, so 200 rows span two strips with a short last one.
 constexpr std::int64_t kStripsH = 200, kStripsW = 64;
 
-/// Offset sub-ranges of an h × w plane: they break the dense-planes
-/// condition (r.w0 != origin.w) and restart the strip sequence mid-tensor.
+/// Offset sub-ranges of an h × w plane: they restart the position list and
+/// the strip sequence mid-tensor.
 std::vector<Range2> sub_ranges(std::int64_t h, std::int64_t w) {
   return {Range2{1, h, 1, w - 1}, Range2{0, 70, 0, w}, Range2{70, h, 2, w}};
 }
@@ -81,7 +73,7 @@ void expect_split_bitwise(Tensor<float>& out, std::int64_t h, std::int64_t w,
 TEST(ConvPlans, GemmOneByOneForwardSplitRangesBitwise) {
   Case cs = make_case(2, 64, 32, kStripsH, kStripsW, /*k=*/1, /*s=*/1, 7);
   expect_split_bitwise(cs.y, kStripsH, kStripsW, [&](const Range2& r) {
-    conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r, ConvAlgo::kGemm);
+    conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r);
   });
 }
 
@@ -91,38 +83,8 @@ TEST(ConvPlans, GemmOneByOneBackwardDataSplitRangesBitwise) {
   cs.y.fill_uniform(rng);  // dy
   expect_split_bitwise(cs.x, kStripsH, kStripsW, [&](const Range2& r) {
     conv2d_backward_data(cs.y, cs.yo, cs.w, cs.x, cs.xo, cs.p, r,
-                         cs.y.shape().h, cs.y.shape().w, ConvAlgo::kGemm);
+                         cs.y.shape().h, cs.y.shape().w);
   });
-}
-
-/// y of a kAuto forward run under the DC_CONV_ALGO override `forced`.
-Tensor<float> forward_forced(Case& cs, ConvAlgo forced) {
-  const Range2 r{0, cs.y.shape().h, 0, cs.y.shape().w};
-  set_conv_algo_override(forced);
-  cs.y.zero();
-  conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r);
-  set_conv_algo_override(ConvAlgo::kAuto);
-  Tensor<float> out(cs.y.shape());
-  std::memcpy(out.data(), cs.y.data(),
-              static_cast<std::size_t>(cs.y.size()) * sizeof(float));
-  cs.y.zero();
-  conv2d_forward(cs.x, cs.xo, cs.w, cs.y, cs.yo, cs.p, r, forced);
-  return out;
-}
-
-TEST(ConvPlans, AlgoOverrideTakesEveryDispatch) {
-  // DC_CONV_ALGO's programmatic twin: the forced family runs against the
-  // rule's choice in both directions — direct on a deep 1×1 layer the rule
-  // runs as GEMM, GEMM on a 4-filter layer the rule runs direct.
-  Case deep = make_case(1, 64, 32, 8, 8, 1, 1, 31);
-  ASSERT_EQ(resolve_conv_algo(ConvAlgo::kAuto, deep.p, 64, 32), ConvAlgo::kGemm);
-  const Tensor<float> direct = forward_forced(deep, ConvAlgo::kDirect);
-  expect_bitwise(deep.y, direct);
-
-  Case few = make_case(1, 8, 4, 8, 8, 3, 1, 37);
-  ASSERT_EQ(resolve_conv_algo(ConvAlgo::kAuto, few.p, 8, 4), ConvAlgo::kDirect);
-  const Tensor<float> gemm = forward_forced(few, ConvAlgo::kGemm);
-  expect_bitwise(few.y, gemm);
 }
 
 }  // namespace

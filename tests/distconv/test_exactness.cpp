@@ -301,20 +301,6 @@ TEST(Exactness, OverlapOnAndOffAgreeBitwise) {
   EXPECT_EQ(a.loss, b.loss);
 }
 
-TEST(Exactness, GemmAlgoMatchesDirectAtModelLevel) {
-  // The kernel-level family override: forcing gemm everywhere must still
-  // match runs on kAuto's rule.
-  const auto a = run_once(small_conv_net, 4, [](int l, int p) {
-    return Strategy::hybrid(l, p, 2);
-  });
-  kernels::set_conv_algo_override(kernels::ConvAlgo::kGemm);
-  const auto b = run_once(small_conv_net, 4, [](int l, int p) {
-    return Strategy::hybrid(l, p, 2);
-  });
-  kernels::set_conv_algo_override(kernels::ConvAlgo::kAuto);
-  expect_same_run(b, a, 1e-4f);
-}
-
 TEST(Exactness, RepeatedStepsStayReplicated) {
   // After several optimizer steps, replicated weights must remain bitwise
   // identical across ranks (deterministic allreduce).

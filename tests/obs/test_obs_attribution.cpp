@@ -4,18 +4,26 @@
 // the wall clock, (b) join the measured counters against the §V cost model
 // through obs::compare_to_model with non-zero measured terms for conv
 // forward compute, halo exchange, and the gradient allreduce, and (c) dump
-// per-rank chrome-trace files that parse as valid JSON.
+// per-rank chrome-trace files that parse as valid JSON. Blocked time is
+// categorized by the op that blocked: only gradient completion counts as
+// gradreduce.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
+#include "comm/collectives.hpp"
+#include "comm/nonblocking.hpp"
+#include "comm/world.hpp"
 #include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "models/models.hpp"
+#include "obs/attribution.hpp"
 #include "obs/compare.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -146,6 +154,63 @@ TEST(ObsAttribution, StepTermsSumToWallAndJoinAgainstTheCostModel) {
     }
     EXPECT_TRUE(saw_step) << path << " has no step span";
   }
+}
+
+TEST(ObsAttribution, OnlyGradientCompletionWaitsCountAsGradReduce) {
+  EXPECT_EQ(classify_wait("halo-exchange"), WaitCategory::kHalo);
+  EXPECT_EQ(classify_wait("halo-refresh"), WaitCategory::kHalo);
+  EXPECT_EQ(classify_wait("shuffle"), WaitCategory::kShuffle);
+  EXPECT_EQ(classify_wait("alltoallv"), WaitCategory::kShuffle);
+  EXPECT_EQ(classify_wait("gradreduce"), WaitCategory::kGradReduce);
+  // Blocking allreduces carry batchnorm statistics and the loss; the
+  // channel-parallel forward reduce-scatter is not a gradient either.
+  for (const char* other :
+       {"allreduce-rd", "allreduce-ring", "iallreduce-rd", "iallreduce-ring",
+        "reduce_scatterv", "ireduce_scatterv", "broadcast", "serve-prefetch",
+        "(unlabeled)"}) {
+    EXPECT_EQ(classify_wait(other), WaitCategory::kOther) << other;
+  }
+  EXPECT_EQ(classify_wait(nullptr), WaitCategory::kOther);
+}
+
+TEST(ObsAttribution, BlockedTimeFollowsTheOpThatBlocked) {
+  // Rank 1 arrives late to a blocking allreduce, then to a drained
+  // iallreduce labeled "gradreduce": rank 0's first wait is other, its
+  // second gradreduce.
+  metrics::set_enabled(true);
+  metrics::reset();
+  const auto late = [](comm::Comm& comm) {
+    if (comm.rank() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    }
+  };
+  std::uint64_t other_after_blocking = 0, grad_after_blocking = 0;
+  comm::World world(2);
+  world.run([&](comm::Comm& comm) {
+    float x = 1.0f;
+    late(comm);
+    comm::allreduce(comm, &x, 1, comm::ReduceOp::kSum);
+    comm::barrier(comm);
+    if (comm.rank() == 0) {
+      const metrics::Snapshot snap = metrics::snapshot();
+      other_after_blocking = snap.counter_for(0, "comm.wait.other.ns");
+      grad_after_blocking = snap.counter_for(0, "comm.wait.gradreduce.ns");
+    }
+    comm::barrier(comm);
+    late(comm);
+    auto op = std::make_unique<comm::NbAllreduceRd<float>>(
+        comm, &x, 1, comm::ReduceOp::kSum);
+    op->set_obs_label("gradreduce");
+    comm::CollectiveEngine engine;
+    engine.enqueue(std::move(op));
+    engine.drain();
+    EXPECT_EQ(x, 4.0f);
+  });
+  const metrics::Snapshot snap = metrics::snapshot();
+  metrics::set_enabled(false);
+  EXPECT_GE(other_after_blocking, 10'000'000u);
+  EXPECT_EQ(grad_after_blocking, 0u);
+  EXPECT_GE(snap.counter_for(0, "comm.wait.gradreduce.ns"), 10'000'000u);
 }
 
 }  // namespace
