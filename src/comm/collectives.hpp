@@ -1,7 +1,7 @@
 // Blocking collective operations built purely on point-to-point messaging.
-// broadcast, allgatherv, reduce_scatterv_inplace and allreduce build the
-// matching resumable op of comm/nonblocking.hpp and run it inline, so the
-// engine-driven and the blocking form of each are one implementation.
+// broadcast, allgatherv and allreduce build the matching resumable op of
+// comm/nonblocking.hpp and run it inline, so the engine-driven and the
+// blocking form of each are one implementation.
 //
 // The algorithms follow Thakur, Rabenseifner & Gropp, "Optimization of
 // Collective Communication Operations in MPICH" (IJHPCA 2005) — the same
@@ -13,7 +13,6 @@
 //   * allgather / allgatherv: ring
 //   * allreduce: recursive doubling (latency-optimal, small n) or
 //     ring reduce-scatter + ring allgather (bandwidth-optimal, large n)
-//   * reduce_scatter: ring
 //   * alltoallv: pairwise exchange
 //   * barrier: dissemination
 #pragma once
@@ -134,29 +133,6 @@ void allgatherv(Comm& comm, const T* sendbuf, std::size_t n, T* recvbuf,
   static const obs::CollCounters& cc = obs::coll_counters("allgatherv");
   obs::CollectiveScope ocs(cc, total * sizeof(T), p - 1);
   NbAllgatherv<T>(comm, sendbuf, n, recvbuf, counts, displs).run();
-}
-
-/// Ring reduce-scatter with explicit per-rank block sizes: buf holds the
-/// concatenation of p blocks (block b spans counts[b] elements at offset
-/// sum(counts[0..b))); on return rank r's block holds the full reduction,
-/// other positions are scratch. The block boundaries are caller-chosen,
-/// which the channel/filter-parallel
-/// convolution needs: its blocks are per-rank filter slices of a partial-sum
-/// tensor, and balanced element blocks would not align with slice
-/// boundaries when the filter count does not divide evenly. Zero-sized
-/// blocks are fine (they ride the ring as empty messages), so singleton and
-/// degenerate channel groups work.
-template <typename T>
-void reduce_scatterv_inplace(Comm& comm, T* buf,
-                             const std::vector<std::size_t>& counts,
-                             ReduceOp op) {
-  OpScope scope("reduce_scatterv");
-  const int p = comm.size();
-  std::uint64_t total = 0;
-  for (const std::size_t c : counts) total += c;
-  static const obs::CollCounters& cc = obs::coll_counters("reduce_scatterv");
-  obs::CollectiveScope ocs(cc, total * sizeof(T), p);
-  NbReduceScattervInplace<T>(comm, buf, counts, op).run();
 }
 
 /// Allreduce by recursive doubling (latency-optimal, small n) or ring

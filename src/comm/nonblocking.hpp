@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -500,113 +499,6 @@ class NbBroadcast final : public RequestDrivenOp {
   int root_;
   int tag_;
   int p_ = 1, vrank_ = 0, recv_mask_ = 0;
-};
-
-/// Ring reduce-scatter over caller-chosen blocks (see
-/// reduce_scatterv_inplace() for the block layout), one posted receive per
-/// round; after p-1 steps each rank holds the fully reduced block of its
-/// right neighbour and swaps it straight to its owner. The optional `pack`
-/// callback defers
-/// filling a block of `buf` until just before the schedule first touches it
-/// (one block ahead of its reduce), so the channel-parallel forward's
-/// packing of later filter slices pipelines with the communication of
-/// earlier rounds instead of happening up front. With a null `pack`, the
-/// caller pre-packs the whole buffer.
-template <typename T>
-class NbReduceScattervInplace final : public RequestDrivenOp {
- public:
-  const char* name() const override { return "ireduce_scatterv"; }
-  using PackFn = std::function<void(int /*block*/)>;
-
-  NbReduceScattervInplace(Comm& comm, T* buf, std::vector<std::size_t> counts,
-                          ReduceOp op, PackFn pack = nullptr, int tag = -1)
-      : comm_(&comm), buf_(buf), counts_(std::move(counts)), op_(op),
-        pack_(std::move(pack)),
-        tag_(tag >= 0 ? tag : comm.next_internal_tag()) {
-    DC_REQUIRE(static_cast<int>(counts_.size()) == comm.size(),
-               "reduce_scatterv: counts must have one entry per rank");
-  }
-
- protected:
-  bool begin() override {
-    p_ = comm_->size();
-    me_ = comm_->rank();
-    displs_.resize(p_);
-    std::size_t total = 0, max_block = 0;
-    for (int b = 0; b < p_; ++b) {
-      displs_[b] = total;
-      total += counts_[b];
-      max_block = std::max(max_block, counts_[b]);
-    }
-    if (p_ == 1) {
-      pack_block(me_);
-      return true;
-    }
-    right_ = (me_ + 1) % p_;
-    left_ = (me_ - 1 + p_) % p_;
-    tmp_.resize(max_block);
-    s_ = 0;
-    stage_ = Stage::kReduceScatter;
-    // Step 0 sends block `me` and will reduce into block `me - 1`.
-    pack_block(me_);
-    pack_block((me_ - 1 + p_) % p_);
-    post_step();
-    return false;
-  }
-
-  bool step() override {
-    switch (stage_) {
-      case Stage::kReduceScatter: {
-        const int recv_block = (me_ - s_ - 1 + p_) % p_;
-        internal::apply_op(op_, buf_ + displs_[recv_block], tmp_.data(),
-                           counts_[recv_block]);
-        if (++s_ < p_ - 1) {
-          // The block this step reduces into; its send happens next step, so
-          // packing it here overlaps the round already in flight.
-          pack_block((me_ - s_ - 1 + p_) % p_);
-          post_step();
-          return false;
-        }
-        // Rank me holds the fully reduced block (me + 1) % p; swap it to its
-        // owner and receive my own block from my left neighbour.
-        const int have = (me_ + 1) % p_;
-        stage_ = Stage::kOwnerSwap;
-        pending_ = comm_->irecv(buf_ + displs_[me_], counts_[me_] * sizeof(T),
-                                left_, tag_);
-        comm_->send(buf_ + displs_[have], counts_[have], have, tag_);
-        return false;
-      }
-      case Stage::kOwnerSwap:
-        return true;
-    }
-    DC_FAIL("unreachable nonblocking reduce_scatterv stage");
-  }
-
- private:
-  enum class Stage { kReduceScatter, kOwnerSwap };
-
-  void pack_block(int b) {
-    if (pack_) pack_(b);
-  }
-
-  void post_step() {
-    const int send_block = (me_ - s_ + p_) % p_;
-    const int recv_block = (me_ - s_ - 1 + p_) % p_;
-    pending_ = comm_->irecv(tmp_.data(), counts_[recv_block] * sizeof(T), left_,
-                            tag_);
-    comm_->send(buf_ + displs_[send_block], counts_[send_block], right_, tag_);
-  }
-
-  Comm* comm_;
-  T* buf_;
-  std::vector<std::size_t> counts_;
-  ReduceOp op_;
-  PackFn pack_;
-  int tag_;
-  int p_ = 1, me_ = 0, right_ = 0, left_ = 0, s_ = 0;
-  Stage stage_ = Stage::kReduceScatter;
-  std::vector<std::size_t> displs_;
-  std::vector<T> tmp_;
 };
 
 /// Build the allreduce op the blocking allreduce() runs for (n, algo); see

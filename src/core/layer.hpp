@@ -35,10 +35,10 @@ enum class BatchNormMode { kLocal, kSpatial, kGlobal };
 /// inert — the property the serving batcher relies on) and mutates no state.
 enum class Mode { kTraining, kInference };
 
-/// Every halo refresh, shuffle, channel reduce-scatter and gradient sum of a
-/// Model runs as one resumable op on the Model's engine; results are bitwise
-/// identical under every combination of these options, which only choose
-/// when the ops are enqueued and drained.
+/// Every halo refresh, shuffle and gradient sum of a Model runs as one
+/// resumable op on the Model's engine; results are bitwise identical under
+/// every combination of these options, which only choose when the ops are
+/// enqueued and drained.
 struct ModelOptions {
   /// Enqueue a layer's input halo refresh before its interior compute and
   /// drain it before the boundary (§IV-A), instead of draining it first.
@@ -53,13 +53,6 @@ struct ModelOptions {
   comm::ProgressMode comm_progress = comm::progress_mode_from_env();
   float bn_epsilon = 1e-5f;
   float bn_momentum = 0.9f;
-  /// Track batchnorm running statistics during training forwards (the EMA
-  /// of the *globally aggregated* batch statistics that eval-mode forward
-  /// normalizes with). Costs one world allreduce of 2C+1 doubles per BN
-  /// layer per forward when the BN mode is not kGlobal (kGlobal shares the
-  /// normalization allreduce). Disable for latency-critical training that
-  /// will never serve — eval then falls back to batch statistics.
-  bool bn_track_running_stats = true;
 };
 
 /// An activation tensor plus its halo machinery and freshness flag. The flag

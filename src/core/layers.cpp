@@ -103,18 +103,15 @@ struct FcScratch : LayerScratch {
 };
 
 /// Scratch of the channel/filter-parallel conv schedule (grid.c > 1). All
-/// tensors are dense (no margins except dy_full, which mirrors dL/dy's
-/// margin frame so the transpose-stencil gather reads stay in-bounds).
+/// tensors are dense; x_full and dy_full mirror the margin frames of x and
+/// dL/dy so the stencil and transpose-stencil gathers stay in-bounds.
 struct ConvChannelScratch : LayerScratch {
+  Tensor<float> x_full;     ///< allgathered full-C input incl. margins
+  Tensor<float> w_fslice;   ///< w[I_F^(c), :, :, :] — (F_loc, C, K, K)
   Tensor<float> w_slice;    ///< w[:, I_C^(c), :, :] — (F, C_loc, K, K)
-  Tensor<float> y_partial;  ///< full-F partial sums over local channels
   Tensor<float> dy_full;    ///< allgathered full-F dL/dy incl. margins
   Tensor<float> dw_slice;   ///< dL/dw[:, I_C^(c), :, :]
   std::vector<float> pack;  ///< collective staging (slice-ordered blocks)
-  // Inference (allgather-x) schedule only; allocated lazily on first use so
-  // training-only models pay nothing.
-  Tensor<float> x_full;     ///< allgathered full-C input incl. margins
-  Tensor<float> w_fslice;   ///< w[I_F^(c), :, :, :] — (F_loc, C, K, K)
 };
 
 }  // namespace
@@ -153,91 +150,27 @@ void Conv2dLayer::init_scratch(Model& model, int index, LayerRt& rt) const {
   const DistTensor<float>& xt = rt.inputs[0].read->t;
   const DistTensor<float>& yt = rt.y.t;
   const DistTensor<float>& dyt = rt.dy.t;
+  const std::int64_t C = xt.dist().c.global();
   const std::int64_t c_loc = xt.local_shape().c;
+  const std::int64_t f_loc = yt.local_shape().c;
+  // Every channel-group member shares the same (n, h, w) coordinates and
+  // margin frame, so these shapes agree across the group.
+  const Shape4& xb = xt.buffer().shape();
+  scratch->x_full = Tensor<float>(Shape4{xb.n, C, xb.h, xb.w});
+  scratch->w_fslice = Tensor<float>(Shape4{f_loc, C, kernel_, kernel_});
   scratch->w_slice = Tensor<float>(Shape4{filters_, c_loc, kernel_, kernel_});
   scratch->dw_slice = Tensor<float>(Shape4{filters_, c_loc, kernel_, kernel_});
-  // Partial sums cover the owned output box with the *full* filter extent;
-  // every channel-group member shares the same (n, h, w) coordinates, so
-  // these shapes agree across the group.
-  scratch->y_partial = Tensor<float>(Shape4{
-      yt.local_shape().n, filters_, yt.local_shape().h, yt.local_shape().w});
   const Shape4& db = dyt.buffer().shape();
   scratch->dy_full = Tensor<float>(Shape4{db.n, filters_, db.h, db.w});
   rt.scratch = std::move(scratch);
 }
 
-/// §III-D forward: y is a sum over all input channels, so each rank computes
-/// the full-F partial sum over its channel slice and a reduce-scatter over
-/// the channel group both completes the sum and leaves each rank exactly its
-/// filter slice of y. The halo refresh hides behind the interior partial
-/// (the §IV-A split also applies here — only the *boundary* rows of the
-/// partial need margins) and the reduce-scatter runs as an engine op whose
-/// per-block packing pipelines with its ring rounds.
+/// §III-D forward: allgather x over the channel group and compute the owned
+/// filter slice against *all* input channels. Every output element keeps the
+/// oracle's ascending-channel accumulation chain (no cross-rank partial sums
+/// regroup it), so the channel-parallel forward is bitwise equal to the
+/// single-rank one in training and inference alike.
 void Conv2dLayer::forward_channel(Model& model, int index, LayerRt& rt) const {
-  ActTensor& xa = *rt.inputs[0].read;
-  DistTensor<float>& xt = xa.t;
-  DistTensor<float>& yt = rt.y.t;
-  const auto p = conv_params();
-  auto* scratch = dynamic_cast<ConvChannelScratch*>(rt.scratch.get());
-  DC_CHECK(scratch != nullptr);
-  auto& cgroup = model.channel_comm(index);
-
-  // Repack the weight slice (parameters changed since the last step).
-  const DimPartition& cpart = xt.dist().c;
-  const std::int64_t c_loc = xt.local_shape().c;
-  const Box4 wcols =
-      channel_slice_box(cpart, xt.coord().c, filters_, kernel_, kernel_);
-  pack_box(rt.params[0], wcols, scratch->w_slice.data());
-
-  const Range2 out_owned = owned_range(yt.owned_box());
-  const Origin2 ypo{yt.owned_start(2), yt.owned_start(3)};
-  auto compute_partial = [&](const Range2& r) {
-    if (c_loc > 0 && !r.empty()) {
-      kernels::conv2d_forward(xt.buffer(), origin_of(xt), scratch->w_slice,
-                              scratch->y_partial, ypo, p, r);
-    }
-  };
-  if (c_loc == 0) scratch->y_partial.zero();  // empty slice contributes zeros
-
-  compute_with_fresh_halo(model, xa, p, out_owned, compute_partial);
-
-  // Reduce-scatter over the channel group: block q is member q's filter
-  // slice of the partial (uneven when pc ∤ F, hence the v-variant).
-  const DimPartition& fpart = yt.dist().c;
-  const Shape4& ys = scratch->y_partial.shape();
-  const SliceBlocks blocks = channel_slice_blocks(fpart, ys.n, ys.h, ys.w);
-  scratch->pack.resize(blocks.total);
-  // Lazy packing: block q is packed one ring step before its reduce, so the
-  // packing of later filter slices overlaps the rounds already in flight.
-  auto pack_block = [scratch, &fpart, ys, &blocks](int q) {
-    if (blocks.counts[q] == 0) return;
-    pack_box(scratch->y_partial, channel_slice_box(fpart, q, ys.n, ys.h, ys.w),
-             scratch->pack.data() + blocks.displs[q]);
-  };
-  model.comm_engine().drain_until(model.comm_engine().enqueue(
-      std::make_unique<comm::NbReduceScattervInplace<float>>(
-          cgroup, scratch->pack.data(), blocks.counts, comm::ReduceOp::kSum,
-          pack_block)));
-  unpack_box(scratch->pack.data() + blocks.displs[cgroup.rank()],
-             yt.interior_box(), yt.buffer());
-
-  if (bias_) {
-    kernels::bias_forward(yt.buffer(), yt.interior_box(),
-                          rt.params[1].data() + yt.owned_start(1));
-  }
-}
-
-/// Inference twin of forward_channel (§III-D's other decomposition): instead
-/// of full-F partial sums completed by a reduce-scatter — whose cross-rank
-/// float summation regroups the accumulation chain — allgather x over the
-/// channel group and compute the owned filter slice against *all* input
-/// channels. Same local FLOPs (F/pc filters × C channels vs. F filters ×
-/// C/pc channels), one allgather of the input instead of one reduce-scatter
-/// of the output, and every output element keeps the oracle's exact
-/// ascending-channel accumulation chain — the property the serving
-/// exactness tests pin down.
-void Conv2dLayer::forward_channel_inference(Model& model, int index,
-                                            LayerRt& rt) const {
   ActTensor& xa = *rt.inputs[0].read;
   DistTensor<float>& xt = xa.t;
   DistTensor<float>& yt = rt.y.t;
@@ -247,16 +180,11 @@ void Conv2dLayer::forward_channel_inference(Model& model, int index,
   auto& cgroup = model.channel_comm(index);
   const int pc = cgroup.size();
 
-  // Every channel-group member shares the same (n, h, w) coordinates and
-  // margin frame, so the gathered buffers tile a dense full-C copy of the
-  // local input block (margins included — the stencil reads them).
+  // The gathered buffers tile a dense full-C copy of the local input block,
+  // margins included — the stencil reads them.
   model.refresh(xa);
   const Shape4& xb = xt.buffer().shape();
   const DimPartition& cpart = xt.dist().c;
-  const std::int64_t C = cpart.global();
-  if (scratch->x_full.size() == 0) {
-    scratch->x_full = Tensor<float>(Shape4{xb.n, C, xb.h, xb.w});
-  }
   const SliceBlocks blocks = channel_slice_blocks(cpart, xb.n, xb.h, xb.w);
   scratch->pack.resize(blocks.total);
   comm::allgatherv(cgroup, xt.buffer().data(),
@@ -272,27 +200,23 @@ void Conv2dLayer::forward_channel_inference(Model& model, int index,
   // slice and run the ordinary region kernel straight into y's buffer.
   const std::int64_t f0 = yt.owned_start(1);
   const std::int64_t f_loc = yt.local_shape().c;
-  if (f_loc > 0) {
-    if (scratch->w_fslice.shape().n != f_loc) {
-      scratch->w_fslice = Tensor<float>(Shape4{f_loc, C, kernel_, kernel_});
-    }
-    const std::int64_t per_filter = C * kernel_ * kernel_;
-    const float* w0 = rt.params[0].data() + f0 * per_filter;
-    std::copy(w0, w0 + f_loc * per_filter, scratch->w_fslice.data());
-    kernels::conv2d_forward(scratch->x_full, origin_of(xt), scratch->w_fslice,
-                            yt.buffer(), origin_of(yt), p,
-                            owned_range(yt.owned_box()));
-    if (bias_) {
-      kernels::bias_forward(yt.buffer(), yt.interior_box(),
-                            rt.params[1].data() + f0);
-    }
+  if (f_loc == 0) return;
+  const std::int64_t per_filter = cpart.global() * kernel_ * kernel_;
+  const float* w0 = rt.params[0].data() + f0 * per_filter;
+  std::copy(w0, w0 + f_loc * per_filter, scratch->w_fslice.data());
+  kernels::conv2d_forward(scratch->x_full, origin_of(xt), scratch->w_fslice,
+                          yt.buffer(), origin_of(yt), p,
+                          owned_range(yt.owned_box()));
+  if (bias_) {
+    kernels::bias_forward(yt.buffer(), yt.interior_box(),
+                          rt.params[1].data() + f0);
   }
 }
 
 /// §III-D backward: one allgather of dL/dy over the filter slices gives every
 /// group member the full-F error signal, after which both backward kernels
 /// are *exact* local computations — dL/dw for all filters × the owned channel
-/// columns, dL/dx for the owned channels against the forward weight slice.
+/// columns, dL/dx for the owned channels against the weight column slice.
 void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
   auto& port = rt.inputs[0];
   DistTensor<float>& xt = port.read->t;
@@ -304,6 +228,9 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
              "conv '", name(), "': input halos were invalidated before backward");
   auto& cgroup = model.channel_comm(index);
   const int pc = cgroup.size();
+  const std::int64_t c_loc = xt.local_shape().c;
+  const Box4 wcols =
+      channel_slice_box(xt.dist().c, xt.coord().c, filters_, kernel_, kernel_);
 
   // Refresh dL/dy margins first: every group member shares the same spatial
   // margin frame, so the gathered buffers stay coherent. A dead port leaves
@@ -327,7 +254,6 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
 
   const Origin2 xo = origin_of(xt), dyo = origin_of(dyt);
   const Range2 out_owned = owned_range(dyt.owned_box());
-  const std::int64_t c_loc = xt.local_shape().c;
 
   if (c_loc > 0) {
     kernels::conv2d_backward_filter(xt.buffer(), xo, scratch->dy_full, dyo,
@@ -336,10 +262,7 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
     // Owned channel columns of the replicated gradient buffer; the engine's
     // slice allreduce + allgather completes them (micro-batches accumulate
     // here in between).
-    unpack_box_accumulate(scratch->dw_slice.data(),
-                          channel_slice_box(xt.dist().c, xt.coord().c, filters_,
-                                            kernel_, kernel_),
-                          rt.grads[0]);
+    unpack_box_accumulate(scratch->dw_slice.data(), wcols, rt.grads[0]);
   }
   if (bias_) {
     kernels::bias_backward(dyt.buffer(), dyt.interior_box(),
@@ -350,6 +273,8 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
   if (!port.live) return;
   const Range2 in_owned = owned_range(port.dx.owned_box());
   if (c_loc > 0) {
+    // Backward-data runs against the owned channel columns of the weights.
+    pack_box(rt.params[0], wcols, scratch->w_slice.data());
     kernels::conv2d_backward_data(scratch->dy_full, dyo, scratch->w_slice,
                                   port.dx.buffer(), origin_of(port.dx), p,
                                   in_owned, rt.out_shape.h, rt.out_shape.w);
@@ -358,11 +283,7 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
 
 void Conv2dLayer::forward(Model& model, int index, LayerRt& rt) const {
   if (model.is_channel_parallel(index)) {
-    if (model.mode() == Mode::kInference) {
-      forward_channel_inference(model, index, rt);
-    } else {
-      forward_channel(model, index, rt);
-    }
+    forward_channel(model, index, rt);
     return;
   }
   ActTensor& xa = *rt.inputs[0].read;
@@ -639,8 +560,7 @@ void BatchNormLayer::forward(Model& model, int index, LayerRt& rt) const {
   // mini-batch statistics — every channel on every rank, so the replicated
   // buffers stay bitwise identical whatever the grid; mode_ only selects
   // which statistics normalize the training forward.
-  const bool track = model.mode() == Mode::kTraining &&
-                     model.options().bn_track_running_stats;
+  const bool track = model.mode() == Mode::kTraining;
   std::vector<double> global;
   bn_aggregate(model, index, mode_, vals, c_loc, c0, C, rt.grid.c,
                track ? &global : nullptr);

@@ -24,10 +24,10 @@ class InputLayer final : public Layer {
 ///
 /// Grids with c > 1 run the channel/filter-parallel schedule of §III-D
 /// instead: x is partitioned on C and y on F over the channel group; forward
-/// computes a full-F partial sum over the local channels and completes it
-/// with a reduce-scatter, backward allgathers dL/dy over the filter slices
-/// and runs exact local kernels against the weight slice, and the weight
-/// gradient is completed per slice (see README "Channel/filter parallelism").
+/// allgathers x and computes the owned filter slice against all channels,
+/// backward allgathers dL/dy over the filter slices and runs exact local
+/// kernels against the weight column slice, and the weight gradient is
+/// completed per slice (see README "Channel/filter parallelism").
 class Conv2dLayer final : public Layer {
  public:
   Conv2dLayer(std::string name, int parent, int filters, int kernel, int stride,
@@ -50,14 +50,11 @@ class Conv2dLayer final : public Layer {
   }
 
  private:
+  /// Channel-parallel forward: allgather x over the channel group, then
+  /// compute the owned filter slice against *all* input channels locally.
+  /// Every output element keeps the single-rank oracle's accumulation chain,
+  /// so the distributed forward is bitwise exact.
   void forward_channel(Model& model, int index, LayerRt& rt) const;
-  /// Inference-mode channel-parallel forward: allgather x over the channel
-  /// group, then compute the owned filter slice against *all* input channels
-  /// locally. Costs the same FLOPs as the training schedule but keeps every
-  /// output element's accumulation chain identical to the single-rank oracle
-  /// (no cross-rank partial sums), which is what makes distributed eval-mode
-  /// forward bitwise exact.
-  void forward_channel_inference(Model& model, int index, LayerRt& rt) const;
   void backward_channel(Model& model, int index, LayerRt& rt) const;
 
   int filters_, kernel_, stride_, pad_;

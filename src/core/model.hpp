@@ -51,8 +51,8 @@ class Model {
 
   /// Channel-group communicator of a layer's grid (ranks sharing the same
   /// (n, h, w) coordinates, spanning the c dimension). Created for conv
-  /// layers with grid.c > 1: the forward partial-sum reduce-scatter and the
-  /// backward dL/dy allgather run here. Its rank order follows the grid's c
+  /// layers with grid.c > 1: the forward x allgather and the backward dL/dy
+  /// allgather run here. Its rank order follows the grid's c
   /// coordinate.
   comm::Comm& channel_comm(int layer);
 
@@ -68,8 +68,7 @@ class Model {
   }
 
   /// The model's communication engine: gradient completions, pre-posted
-  /// shuffles, halo refreshes and the channel-parallel forward's
-  /// reduce-scatter all serialize onto this one wire channel (the cost
+  /// shuffles and halo refreshes all serialize onto this one wire channel (the cost
   /// model's greedy single-op schedule). Ops advance only in this rank's
   /// enqueue/progress/drain calls.
   comm::CollectiveEngine& comm_engine() { return engine_; }

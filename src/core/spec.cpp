@@ -4,6 +4,18 @@
 #include "support/error.hpp"
 
 namespace distconv::core {
+namespace {
+
+/// Window geometry every stencil layer needs: a non-empty kernel that moves,
+/// and padding that leaves every window at least one input pixel.
+void validate_window(const std::string& name, int kernel, int stride, int pad) {
+  DC_REQUIRE(kernel >= 1, "layer '", name, "': kernel ", kernel, " < 1");
+  DC_REQUIRE(stride >= 1, "layer '", name, "': stride ", stride, " < 1");
+  DC_REQUIRE(pad >= 0 && pad < kernel, "layer '", name, "': pad ", pad,
+             " outside [0, kernel ", kernel, ")");
+}
+
+}  // namespace
 
 int NetworkSpec::add(std::unique_ptr<Layer> layer) {
   DC_REQUIRE(layer != nullptr, "null layer");
@@ -64,13 +76,16 @@ int NetworkBuilder::input(const Shape4& shape, const std::string& name) {
 
 int NetworkBuilder::conv(const std::string& name, int parent, int filters,
                          int kernel, int stride, int pad, bool bias) {
-  if (pad < 0) pad = kernel / 2;
+  if (pad == -1) pad = kernel / 2;
+  DC_REQUIRE(filters >= 1, "layer '", name, "': filters ", filters, " < 1");
+  validate_window(name, kernel, stride, pad);
   return spec_.add(std::make_unique<Conv2dLayer>(name, parent, filters, kernel,
                                                  stride, pad, bias));
 }
 
 int NetworkBuilder::pool_max(const std::string& name, int parent, int kernel,
                              int stride, int pad) {
+  validate_window(name, kernel, stride, pad);
   return spec_.add(std::make_unique<Pool2dLayer>(name, parent,
                                                  kernels::PoolMode::kMax, kernel,
                                                  stride, pad));
@@ -78,6 +93,7 @@ int NetworkBuilder::pool_max(const std::string& name, int parent, int kernel,
 
 int NetworkBuilder::pool_avg(const std::string& name, int parent, int kernel,
                              int stride, int pad) {
+  validate_window(name, kernel, stride, pad);
   return spec_.add(std::make_unique<Pool2dLayer>(
       name, parent, kernels::PoolMode::kAverage, kernel, stride, pad));
 }
@@ -101,6 +117,8 @@ int NetworkBuilder::global_avg_pool(const std::string& name, int parent) {
 
 int NetworkBuilder::fully_connected(const std::string& name, int parent,
                                     int out_features, bool bias) {
+  DC_REQUIRE(out_features >= 1, "layer '", name, "': out_features ",
+             out_features, " < 1");
   return spec_.add(
       std::make_unique<FullyConnectedLayer>(name, parent, out_features, bias));
 }

@@ -66,8 +66,7 @@ WaitCategory classify_wait(const char* label) {
     return WaitCategory::kShuffle;
   }
   // Only Model's gradient-completion ops: blocking allreduces (batchnorm
-  // statistics, the loss) and the channel-parallel forward reduce-scatter
-  // are other.
+  // statistics, the loss) and the channel-group allgathers are other.
   if (std::strcmp(label, "gradreduce") == 0) return WaitCategory::kGradReduce;
   return WaitCategory::kOther;
 }

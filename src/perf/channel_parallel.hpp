@@ -11,8 +11,9 @@
 // Modelled (and implemented) schedule for a channel group of pc ranks:
 //   * x partitioned on C, y on F; weights replicated, each rank computing
 //     against its w[:, I_C] / w[I_F, :] slices.
-//   * Forward: full-F partial sums over the local channels, completed by a
-//     reduce-scatter of the partial output over the channel group.
+//   * Forward: one allgather of x over the channel group, after which each
+//     rank computes its owned F/pc filters against the full C locally — no
+//     partial sums, so every output keeps the single-rank accumulation chain.
 //   * Backward: one allgather of dL/dy over the filter slices, after which
 //     backward-data and backward-filter are exact local kernels.
 //   * Weight gradient: each rank produces the F × C/pc slice it owns; the
@@ -33,17 +34,8 @@ namespace distconv::perf {
 /// conv_layer_cost with grid (grid_n, pc, grid_h, grid_w). The engine
 /// executes all of these; the optimizer only generates the spatially
 /// trivial ones.
-///
-/// `fwd` selects between the two executed forward-completion schedules:
-/// kReduceScatterY prices the training path (full-F partial sums + y
-/// reduce-scatter); kAllgatherX prices the serving path (x allgather over
-/// the channel group, then the owned F/pc slice against full C — same
-/// FLOPs, wire volume proportional to x instead of y). Backward terms are
-/// always the training schedule (serving never runs them).
 LayerCost channel_filter_cost(const ConvLayerDesc& desc, int grid_n, int pc,
                               const CommModel& comm, const ComputeModel& compute,
-                              int total_ranks, int grid_h = 1, int grid_w = 1,
-                              ChannelFwdSchedule fwd =
-                                  ChannelFwdSchedule::kReduceScatterY);
+                              int total_ranks, int grid_h = 1, int grid_w = 1);
 
 }  // namespace distconv::perf

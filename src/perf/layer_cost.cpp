@@ -81,13 +81,13 @@ double halo_exchange_time(const ConvLayerDesc& desc, const ProcessGrid& grid,
 
 LayerCost conv_layer_cost(const ConvLayerDesc& desc, const ProcessGrid& grid,
                           const CommModel& comm, const ComputeModel& compute,
-                          int total_ranks, ChannelFwdSchedule fwd) {
+                          int total_ranks) {
   if (grid.c > 1) {
     // Channel/filter parallelism (§III-D), optionally combined with a
     // spatial split inside each channel group — every grid the engine
     // executes is priceable.
     return channel_filter_cost(desc, grid.n, grid.c, comm, compute, total_ranks,
-                               grid.h, grid.w, fwd);
+                               grid.h, grid.w);
   }
   LayerCost cost;
 

@@ -57,26 +57,11 @@ struct LayerCost {
   double total(bool overlap) const { return fp(overlap) + bp(overlap) + allreduce; }
 };
 
-/// How a channel-parallel (pc > 1) conv completes its forward sum — both
-/// schedules exist in the engine and move the same asymptotic volume, but
-/// with different constants depending on x : y size ratio:
-///   kReduceScatterY — full-F partial sums over the local C/pc channels,
-///     completed by a reduce-scatter of y over the channel group (the
-///     training path, core/layers.cpp forward_channel).
-///   kAllgatherX — allgather x over the channel group first, then compute
-///     the owned F/pc filter slice against the full C locally — no partial
-///     sums, so eval-mode accumulation chains match the single-rank oracle
-///     bitwise (the serving path, forward_channel_inference).
-enum class ChannelFwdSchedule { kReduceScatterY, kAllgatherX };
-
 /// Cost of one conv layer under a process-grid distribution. `total_ranks`
-/// is the allreduce span (all ranks; weights are replicated). `fwd` selects
-/// the channel-parallel forward schedule (ignored when grid.c == 1).
+/// is the allreduce span (all ranks; weights are replicated).
 LayerCost conv_layer_cost(const ConvLayerDesc& desc, const ProcessGrid& grid,
                           const CommModel& comm, const ComputeModel& compute,
-                          int total_ranks,
-                          ChannelFwdSchedule fwd =
-                              ChannelFwdSchedule::kReduceScatterY);
+                          int total_ranks);
 
 /// Halo-exchange time alone (both directions + corners) for the given tensor
 /// block; exposed for the microbenchmark harnesses.

@@ -58,8 +58,7 @@ AuxCost aux_layer_cost(const core::NetworkSpec& spec, int i,
       aux.forward += comm.allreduce(group, stat_bytes);
       aux.backward += comm.allreduce(group, stat_bytes);
     }
-    // Running-stat tracking (engine default, ModelOptions::
-    // bn_track_running_stats): training forwards aggregate the statistics
+    // Running-stat tracking: training forwards aggregate the statistics
     // over the whole job for the EMA unless the kGlobal normalization
     // already did exactly that.
     if (bn->mode() != core::BatchNormMode::kGlobal && total_ranks > 1) {
@@ -304,11 +303,7 @@ InferenceCost inference_cost(const core::NetworkSpec& spec,
   for (int i = 0; i < spec.size(); ++i) {
     const core::Layer& layer = spec.layer(i);
     if (const auto d = conv_desc(spec, i, shapes)) {
-      // Price the schedule serving actually executes: channel-parallel
-      // convs complete via the allgather-x path in eval mode
-      // (forward_channel_inference), not the training reduce-scatter.
-      cost.layers[i] = conv_layer_cost(*d, strategy.grids[i], comm, cm, P,
-                                       ChannelFwdSchedule::kAllgatherX);
+      cost.layers[i] = conv_layer_cost(*d, strategy.grids[i], comm, cm, P);
       cost.forward += cost.layers[i]->fp(options.overlap_halo);
     } else if (dynamic_cast<const core::BatchNormLayer*>(&layer) != nullptr) {
       // Eval-mode BN normalizes with running statistics: one elementwise

@@ -53,10 +53,8 @@ struct NetworkCost {
 /// Forward-only cost of a strategy — the serving objective. No backprop, no
 /// gradient-allreduce terms, one-way redistribution shuffles, batchnorm
 /// normalizing with running statistics (a pure elementwise pass, no
-/// statistics traffic). Channel-parallel conv layers are priced with the
-/// schedule serving actually executes — the allgather-x completion of
-/// forward_channel_inference (ChannelFwdSchedule::kAllgatherX), not the
-/// training reduce-scatter.
+/// statistics traffic). Conv layers are priced with the same forward terms
+/// as network_cost: training and serving run one forward schedule.
 struct InferenceCost {
   double forward = 0;  ///< conv FP + aux forward costs
   double shuffle = 0;  ///< §III-C redistribution, forward direction only

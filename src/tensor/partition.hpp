@@ -127,7 +127,7 @@ Box4 channel_slice_box(const DimPartition& part, int q, std::int64_t n,
 
 /// Per-slice element counts and exclusive prefix displacements of the
 /// channel slices of a dense (n, C, h, w) tensor — the block layout every
-/// channel-group collective uses (forward reduce-scatter, backward dL/dy
+/// channel-group collective uses (forward x allgather, backward dL/dy
 /// allgather, weight-gradient re-replication), kept in one place so the
 /// three schedules cannot drift apart.
 struct SliceBlocks {

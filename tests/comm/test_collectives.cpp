@@ -10,17 +10,6 @@
 namespace distconv::comm {
 namespace {
 
-/// Balanced per-rank block sizes of n elements over p ranks (the first
-/// n % p blocks get one extra), as reduce_scatterv_inplace counts.
-std::vector<std::size_t> balanced_counts(std::size_t n, int p) {
-  std::vector<std::size_t> counts(p);
-  for (int b = 0; b < p; ++b) {
-    const auto [s, e] = internal::block_range(n, p, b);
-    counts[b] = e - s;
-  }
-  return counts;
-}
-
 // Many collectives are exercised over a sweep of world sizes, including
 // non-powers of two, which stress the pof2 fixups.
 class CollectiveSizes : public ::testing::TestWithParam<int> {};
@@ -169,24 +158,6 @@ TEST(Allreduce, ResultsBitwiseIdenticalAcrossRanks) {
   }
 }
 
-TEST_P(CollectiveSizes, ReduceScattervBalancedOwnedBlock) {
-  const int p = GetParam();
-  World world(p);
-  world.run([p](Comm& comm) {
-    const std::size_t n = 23;  // not divisible by most p
-    if (n < static_cast<std::size_t>(p)) return;
-    std::vector<double> buf(n);
-    for (std::size_t i = 0; i < n; ++i) buf[i] = comm.rank() + double(i);
-    reduce_scatterv_inplace(comm, buf.data(), balanced_counts(n, p),
-                            ReduceOp::kSum);
-    const auto [s, e] = internal::block_range(n, p, comm.rank());
-    const double rank_sum = p * (p - 1) / 2.0;
-    for (std::size_t i = s; i < e; ++i) {
-      EXPECT_NEAR(buf[i], rank_sum + double(i) * p, 1e-9);
-    }
-  });
-}
-
 TEST_P(CollectiveSizes, AlltoallvTransposesRankData) {
   const int p = GetParam();
   World world(p);
@@ -278,51 +249,6 @@ TEST(CollectiveStats, RingAllreduceBandwidthOptimalVolume) {
   EXPECT_LE(s.bytes, upper);
 }
 
-TEST_P(CollectiveSizes, ReduceScattervUnevenBlocks) {
-  const int p = GetParam();
-  World world(p);
-  world.run([p](Comm& comm) {
-    // Block b holds b + 1 elements — never balanced, exercising the explicit
-    // per-rank counts (the channel-parallel filter slices have this shape).
-    std::vector<std::size_t> counts(p), displs(p);
-    std::size_t total = 0;
-    for (int b = 0; b < p; ++b) {
-      counts[b] = b + 1;
-      displs[b] = total;
-      total += counts[b];
-    }
-    std::vector<double> buf(total);
-    for (std::size_t i = 0; i < total; ++i) buf[i] = comm.rank() + double(i);
-    reduce_scatterv_inplace(comm, buf.data(), counts, ReduceOp::kSum);
-    const double rank_sum = p * (p - 1) / 2.0;
-    for (std::size_t i = 0; i < counts[comm.rank()]; ++i) {
-      const std::size_t g = displs[comm.rank()] + i;
-      EXPECT_NEAR(buf[g], rank_sum + double(g) * p, 1e-9) << "i=" << g;
-    }
-  });
-}
-
-TEST(ReduceScatterv, ZeroSizedBlocksRideTheRing) {
-  // Filter counts smaller than the channel group leave trailing empty
-  // slices; the ring must pass them through as empty messages.
-  const int p = 4;
-  World world(p);
-  world.run([p](Comm& comm) {
-    const std::vector<std::size_t> counts{3, 2, 0, 0};
-    std::vector<float> buf{1, 2, 3, 10, 20};
-    for (auto& v : buf) v += float(comm.rank());
-    reduce_scatterv_inplace(comm, buf.data(), counts, ReduceOp::kSum);
-    const float rank_sum = p * (p - 1) / 2.0f;
-    const float base[] = {1, 2, 3, 10, 20};
-    if (comm.rank() == 0) {
-      for (int i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(buf[i], p * base[i] + rank_sum);
-    }
-    if (comm.rank() == 1) {
-      for (int i = 3; i < 5; ++i) EXPECT_FLOAT_EQ(buf[i], p * base[i] + rank_sum);
-    }
-  });
-}
-
 // The channel-parallel engine runs its collectives on *subgroup*
 // communicators obtained by splitting the world — including singleton and
 // non-power-of-two groups (e.g. 3-way channel splits). Exercise every
@@ -351,41 +277,6 @@ TEST_P(SubgroupCollectives, ChannelGroupShapedCollectives) {
       const double rank_sum = sp * (sp - 1) / 2.0;
       for (std::size_t i = 0; i < buf.size(); ++i) {
         ASSERT_NEAR(buf[i], rank_sum + double(i) * sp, 1e-9);
-      }
-    }
-
-    // reduce_scatterv_inplace with balanced blocks.
-    {
-      const std::size_t n = 29;
-      if (n >= static_cast<std::size_t>(sp)) {
-        std::vector<double> buf(n);
-        for (std::size_t i = 0; i < n; ++i) buf[i] = sub.rank() + double(i);
-        reduce_scatterv_inplace(sub, buf.data(), balanced_counts(n, sp),
-                                ReduceOp::kSum);
-        const auto [s, e] = internal::block_range(n, sp, sub.rank());
-        const double rank_sum = sp * (sp - 1) / 2.0;
-        for (std::size_t i = s; i < e; ++i) {
-          ASSERT_NEAR(buf[i], rank_sum + double(i) * sp, 1e-9);
-        }
-      }
-    }
-
-    // reduce_scatterv_inplace (uneven blocks, like filter slices).
-    {
-      std::vector<std::size_t> counts(sp), displs(sp);
-      std::size_t total = 0;
-      for (int b = 0; b < sp; ++b) {
-        counts[b] = (b % 2 == 0) ? 4 : 1;
-        displs[b] = total;
-        total += counts[b];
-      }
-      std::vector<double> buf(total);
-      for (std::size_t i = 0; i < total; ++i) buf[i] = sub.rank() + double(i);
-      reduce_scatterv_inplace(sub, buf.data(), counts, ReduceOp::kSum);
-      const double rank_sum = sp * (sp - 1) / 2.0;
-      for (std::size_t i = 0; i < counts[sub.rank()]; ++i) {
-        const std::size_t g = displs[sub.rank()] + i;
-        ASSERT_NEAR(buf[g], rank_sum + double(g) * sp, 1e-9);
       }
     }
 

@@ -101,78 +101,6 @@ TEST(Nonblocking, ExplicitAlgorithmsMatchSerialMax) {
   });
 }
 
-/// The nonblocking reduce_scatterv leaves each rank the exact sum of its
-/// block for uneven and zero-sized blocks, both with caller-side
-/// pre-packing and with the lazy per-block pack callback the
-/// channel-parallel forward uses to pipeline packing with the rounds.
-TEST(Nonblocking, IreduceScattervMatchesSerialSum) {
-  struct Case {
-    int p;
-    std::vector<std::size_t> counts;
-  };
-  const std::vector<Case> cases{
-      {2, {5, 3}},
-      {3, {4, 0, 7}},            // zero-sized block rides the ring
-      {4, {1000, 1, 37, 512}},   // heavily uneven
-      {4, {0, 0, 9, 0}},         // mostly empty
-      {5, {11, 13, 17, 19, 23}},
-  };
-  for (const auto& c : cases) {
-    std::size_t total = 0;
-    std::vector<std::size_t> displs(c.counts.size());
-    for (std::size_t b = 0; b < c.counts.size(); ++b) {
-      displs[b] = total;
-      total += c.counts[b];
-    }
-    const auto seed_of = [](int r) { return 29 * std::uint64_t(r + 1); };
-    const std::vector<float> expect = serial_sum(total, c.p, seed_of);
-    World world(c.p);
-    world.run([&](Comm& comm) {
-      const std::vector<float> init = int_floats(total, seed_of(comm.rank()));
-      for (const bool lazy_pack : {false, true}) {
-        std::vector<float> nb =
-            lazy_pack ? std::vector<float>(total, 0.0f) : init;
-        NbReduceScattervInplace<float>::PackFn pack;
-        if (lazy_pack) {
-          pack = [&](int b) {
-            std::copy(init.begin() + displs[b],
-                      init.begin() + displs[b] + c.counts[b],
-                      nb.begin() + displs[b]);
-          };
-        }
-        CollectiveEngine engine;
-        engine.enqueue(std::make_unique<NbReduceScattervInplace<float>>(
-            comm, nb.data(), c.counts, ReduceOp::kSum, pack));
-        engine.drain();
-        EXPECT_TRUE(engine.idle());
-        // Only rank me's block is defined output; compare it bitwise.
-        const int me = comm.rank();
-        EXPECT_EQ(0, std::memcmp(expect.data() + displs[me],
-                                 nb.data() + displs[me],
-                                 c.counts[me] * sizeof(float)))
-            << "p=" << c.p << " rank=" << me << " lazy=" << lazy_pack;
-      }
-    });
-  }
-}
-
-TEST(Nonblocking, IreduceScattervSingleRank) {
-  World world(1);
-  world.run([](Comm& comm) {
-    std::vector<float> v{1.0f, 2.0f, 3.0f};
-    bool packed = false;
-    CollectiveEngine engine;
-    engine.enqueue(std::make_unique<NbReduceScattervInplace<float>>(
-        comm, v.data(), std::vector<std::size_t>{3}, ReduceOp::kSum,
-        [&packed](int b) {
-          EXPECT_EQ(b, 0);
-          packed = true;
-        }));
-    EXPECT_TRUE(engine.idle());  // completes inside enqueue()
-    EXPECT_TRUE(packed);         // the owner's block is still packed
-  });
-}
-
 TEST(Nonblocking, ZeroLengthBuffersCompleteImmediately) {
   World world(3);
   world.run([](Comm& comm) {

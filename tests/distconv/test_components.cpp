@@ -61,6 +61,66 @@ TEST(Spec, ConvSmallerThanKernelThrows) {
   EXPECT_THROW(nb.spec().infer_shapes(), Error);
 }
 
+/// `build` must raise an Error whose message names layer `name`.
+template <typename Build>
+void expect_layer_error(Build&& build, const std::string& name) {
+  NetworkBuilder nb;
+  const int in = nb.input(Shape4{1, 4, 14, 14});
+  try {
+    build(nb, in);
+    ADD_FAILURE() << "no error for layer '" << name << "'";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + name + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Spec, RejectsFewerThanOneOutput) {
+  expect_layer_error([](NetworkBuilder& nb, int in) { nb.conv("c", in, 0, 3); },
+                     "c");
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.fully_connected("fc", in, 0); }, "fc");
+}
+
+TEST(Spec, RejectsKernelBelowOne) {
+  expect_layer_error([](NetworkBuilder& nb, int in) { nb.conv("c", in, 4, 0); },
+                     "c");
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.pool_max("p", in, 0, 1); }, "p");
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.pool_avg("a", in, 0, 1); }, "a");
+}
+
+TEST(Spec, RejectsStrideBelowOne) {
+  // A zero stride used to reach the output-size division.
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.conv("c", in, 4, 3, /*stride=*/0); },
+      "c");
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.pool_max("p", in, 3, 0); }, "p");
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.pool_avg("a", in, 3, -1); }, "a");
+}
+
+TEST(Spec, RejectsPadOutsideKernel) {
+  // pad ≥ kernel would make border windows of padding alone.
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.conv("c", in, 4, 1, 1, /*pad=*/3); },
+      "c");
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.conv("c", in, 4, 3, 1, /*pad=*/-2); },
+      "c");
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.pool_max("p", in, 3, 2, 3); }, "p");
+  expect_layer_error(
+      [](NetworkBuilder& nb, int in) { nb.pool_avg("a", in, 2, 2, -1); }, "a");
+  // The "same" default resolves before the check: kernel/2 < kernel.
+  NetworkBuilder nb;
+  const int in = nb.input(Shape4{1, 4, 14, 14});
+  EXPECT_NO_THROW(nb.conv("one", in, 4, 1));
+  EXPECT_NO_THROW(nb.conv("seven", in, 4, 7));
+}
+
 TEST(Strategy, SpatialFactorsNearSquare) {
   EXPECT_EQ(Strategy::spatial_factors(1), (std::pair<int, int>{1, 1}));
   EXPECT_EQ(Strategy::spatial_factors(2), (std::pair<int, int>{2, 1}));

@@ -9,6 +9,7 @@
 
 #include "core/model.hpp"
 #include "core/layers.hpp"
+#include "tests/support/thread_guard.hpp"
 
 namespace distconv::core {
 namespace {
@@ -35,10 +36,11 @@ Tensor<float> make_targets(const Shape4& shape, std::uint64_t seed) {
   return t;
 }
 
-/// Run one forward + BCE loss + backward + SGD step under the given strategy.
+/// Run `steps` forward + BCE loss + backward + SGD steps under the given
+/// strategy, each on its own batch; output and loss are the last step's.
 RunResult run_once(const std::function<NetworkSpec()>& make_spec, int ranks,
                    const std::function<Strategy(int layers, int p)>& make_strategy,
-                   const ModelOptions& opts = {}) {
+                   const ModelOptions& opts = {}, int steps = 1) {
   RunResult result;
   comm::World world(ranks);
   world.run([&](comm::Comm& comm) {
@@ -46,11 +48,14 @@ RunResult run_once(const std::function<NetworkSpec()>& make_spec, int ranks,
     Model model(spec, comm, make_strategy(spec.size(), ranks), /*seed=*/7, opts);
     const Shape4 in_shape = model.rt(0).out_shape;
     const Shape4 out_shape = model.rt(model.output_layer()).out_shape;
-    model.set_input(0, make_input(in_shape, 99));
-    model.forward();
-    const double loss = model.loss_bce(make_targets(out_shape, 55));
-    model.backward();
-    model.sgd_step(kernels::SgdConfig{0.05f, 0.9f, 1e-4f});
+    double loss = 0.0;
+    for (int step = 0; step < steps; ++step) {
+      model.set_input(0, make_input(in_shape, 99 + step));
+      model.forward();
+      loss = model.loss_bce(make_targets(out_shape, 55 + step));
+      model.backward();
+      model.sgd_step(kernels::SgdConfig{0.05f, 0.9f, 1e-4f});
+    }
     Tensor<float> out = model.gather_output(model.output_layer());
     if (comm.rank() == 0) {
       result.output = std::move(out);
@@ -94,6 +99,20 @@ NetworkSpec small_conv_net() {
   x = nb.relu("r2", x);
   x = nb.conv("c3", x, 4, 3, 1);
   x = nb.conv("head", x, 1, 1, 1, 0, /*bias=*/true);
+  return nb.take();
+}
+
+// Batchnorm-free: every layer keeps each output element's accumulation
+// chain rank-count independent, so the training forward is bitwise exact.
+NetworkSpec bn_free_conv_net() {
+  NetworkBuilder nb;
+  const int in = nb.input(Shape4{4, 6, 16, 16});
+  int x = nb.conv("c1", in, 12, 3, 1);
+  x = nb.relu("r1", x);
+  x = nb.conv("c2", x, 16, 5, 2);
+  x = nb.relu("r2", x);
+  x = nb.conv("c3", x, 8, 3, 1);
+  nb.conv("head", x, 1, 1, 1, 0, /*bias=*/true);
   return nb.take();
 }
 
@@ -159,8 +178,9 @@ std::vector<StrategyCase> strategy_cases() {
          return s;
        }},
       // Channel/filter parallelism (§III-D): x partitioned on C, y on F,
-      // partial-sum forward + reduce-scatter. channel4 also stresses empty
-      // slices (layers with C or F < 4 leave some ranks without channels).
+      // allgather-x forward + allgather-dL/dy backward. channel4 also
+      // stresses empty slices (layers with C or F < 4 leave some ranks
+      // without channels).
       {"channel4", 4,
        [](int l, int) {
          return Strategy::uniform(l, ProcessGrid{1, 4, 1, 1});
@@ -171,8 +191,8 @@ std::vector<StrategyCase> strategy_cases() {
        }},
       {"channel2_spatial2", 4,
        [](int l, int) {
-         // Channel groups combined with a spatial split: the partial-sum
-         // reduce-scatter and the halo machinery must compose.
+         // Channel groups combined with a spatial split: the channel-group
+         // allgathers and the halo machinery must compose.
          return Strategy::uniform(l, ProcessGrid{1, 2, 2, 1});
        }},
       {"mixed_spatial_then_channel", 4,
@@ -218,6 +238,40 @@ TEST(Exactness, DeadPortNetMatchesSerialUnderAllStrategies) {
     SCOPED_TRACE(sc.name);
     const auto got = run_once(dead_port_net, sc.ranks, sc.make);
     expect_same_run(got, ref, 2e-4f);
+  }
+}
+
+void expect_bitwise(const Tensor<float>& got, const Tensor<float>& ref) {
+  ASSERT_EQ(got.shape(), ref.shape());
+  std::int64_t differ = 0;
+  for (std::int64_t i = 0; i < got.size(); ++i) {
+    if (got.data()[i] != ref.data()[i]) ++differ;
+  }
+  EXPECT_EQ(differ, 0) << "of " << got.size() << " outputs differ bitwise";
+}
+
+TEST(Exactness, TrainingForwardIsBitwiseUnderAllStrategies) {
+  // Every distributed training forward — the channel-parallel one included,
+  // which computes its owned filters against the allgathered full-C input —
+  // keeps the oracle's accumulation chain of each output element.
+  const auto oracle = [](int l, int p) { return Strategy::sample_parallel(l, p); };
+  const auto channel4 = [](int l, int) {
+    return Strategy::uniform(l, ProcessGrid{1, 4, 1, 1});
+  };
+  for (const int threads : {1, 8}) {
+    parallel::ThreadGuard guard(threads);
+    const RunResult ref = run_once(bn_free_conv_net, 1, oracle);
+    for (const auto& sc : strategy_cases()) {
+      SCOPED_TRACE(std::string(sc.name) + " threads=" + std::to_string(threads));
+      expect_bitwise(run_once(bn_free_conv_net, sc.ranks, sc.make).output,
+                     ref.output);
+    }
+    // The channel-parallel backward runs exact local kernels, so the
+    // weights, and with them the forward, stay bitwise across SGD steps:
+    // the 4th forward runs on weights 3 steps old.
+    SCOPED_TRACE("channel4 after 3 steps, threads=" + std::to_string(threads));
+    expect_bitwise(run_once(bn_free_conv_net, 4, channel4, {}, 4).output,
+                   run_once(bn_free_conv_net, 1, oracle, {}, 4).output);
   }
 }
 

@@ -89,7 +89,7 @@ const Case kCases[] = {
      [](int layers, int p) { return Strategy::channel_parallel(layers, p, 2); }},
     // Spatial early / channel-parallel deep layers: forward and backward
     // shuffles redistribute between the grids, so the engine's pre-posted
-    // ShuffleOps, halo refreshes AND the channel forward's reduce-scatter
+    // ShuffleOps, halo refreshes AND the sliced weight-gradient completions
     // are all on the line in one case.
     {"mixed-spatial-channel", 4,
      [](int layers, int) {
@@ -102,9 +102,8 @@ const Case kCases[] = {
 };
 
 /// Every strategy × serial and contended thread budgets: training with the
-/// engine overlapping gradient allreduces, halo refreshes, shuffles and the
-/// channel-parallel reduce-scatter must be bitwise identical to the fully
-/// blocking baseline.
+/// engine overlapping gradient allreduces, halo refreshes and shuffles must
+/// be bitwise identical to the fully blocking baseline.
 TEST(OverlapAllreduce, BitwiseEqualAcrossStrategiesAndThreads) {
   const Shape4 in_shape{4, 2, 16, 16};
   const NetworkSpec spec = small_net(in_shape);

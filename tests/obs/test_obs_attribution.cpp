@@ -163,10 +163,10 @@ TEST(ObsAttribution, OnlyGradientCompletionWaitsCountAsGradReduce) {
   EXPECT_EQ(classify_wait("alltoallv"), WaitCategory::kShuffle);
   EXPECT_EQ(classify_wait("gradreduce"), WaitCategory::kGradReduce);
   // Blocking allreduces carry batchnorm statistics and the loss; the
-  // channel-parallel forward reduce-scatter is not a gradient either.
+  // channel-group allgathers of x and dL/dy are not gradients either.
   for (const char* other :
        {"allreduce-rd", "allreduce-ring", "iallreduce-rd", "iallreduce-ring",
-        "reduce_scatterv", "ireduce_scatterv", "broadcast", "serve-prefetch",
+        "allgatherv", "iallgatherv", "broadcast", "serve-prefetch",
         "(unlabeled)"}) {
     EXPECT_EQ(classify_wait(other), WaitCategory::kOther) << other;
   }

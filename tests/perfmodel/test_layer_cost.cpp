@@ -103,12 +103,12 @@ TEST(LayerCost, SampleParallelismIsCheapestCommunication) {
   EXPECT_GT(hybrid.fp_halo + hybrid.bpx_halo, 0.0);
 }
 
-TEST(ChannelParallel, ReduceScatterReplacesHalo) {
+TEST(ChannelParallel, AllgatherReplacesHalo) {
   ConvLayerDesc d{32, 512, 28, 28, 128, 1, 1, 0};
   CommModel comm(kMachine);
   RooflineComputeModel compute(kMachine);
   const auto c = channel_filter_cost(d, 1, 4, comm, compute, 4);
-  EXPECT_GT(c.fp_halo, 0.0);  // the output reduce-scatter
+  EXPECT_GT(c.fp_halo, 0.0);  // the input allgather
   const auto serial = channel_filter_cost(d, 1, 1, comm, compute, 1);
   EXPECT_LT(c.fp_compute, serial.fp_compute);
 }
@@ -154,10 +154,10 @@ TEST(ChannelParallel, ChannelTimesSpatialGridsArePriceable) {
   const auto mixed =
       conv_layer_cost(d, ProcessGrid{1, 2, 2, 1}, comm, compute, 4);
   EXPECT_GT(mixed.fp_compute, 0.0);
-  EXPECT_GT(mixed.fp_halo, 0.0);  // reduce-scatter + spatial halo
+  EXPECT_GT(mixed.fp_halo, 0.0);  // allgather + spatial halo
   // The spatial split shrinks compute relative to the pure channel grid of
-  // the same channel ways, and adds halo traffic on top of the
-  // reduce-scatter of the (smaller) owned block.
+  // the same channel ways, and adds halo traffic on top of the allgather
+  // of the (smaller) owned block.
   const auto pure = conv_layer_cost(d, ProcessGrid{2, 2, 1, 1}, comm, compute, 4);
   EXPECT_LT(mixed.fp_compute, pure.fp_compute * 1.01);
 }

@@ -265,42 +265,33 @@ TEST(ServingEstimate, ReplicaTermScalesThroughputNotLatency) {
 }
 
 TEST(InferenceCost, ChannelParallelPricesAllgatherXSchedule) {
-  // A channel-parallel conv whose input is much larger than its output:
-  // serving's allgather-x completion moves x (big), training's
-  // reduce-scatter moves y (small). The inference pricing must reflect the
-  // executed allgather-x schedule, so pricing the same layer under both
-  // enums must differ in exactly the forward wire term.
-  ConvLayerDesc desc;
-  desc.n = 4;
-  desc.c = 64;
-  desc.h = desc.w = 32;
-  desc.f = 8;  // f << c → y much smaller than x
-  desc.k = 3;
-  desc.p = 1;
+  // Training and serving run one channel-parallel forward: allgather x over
+  // the channel group, then the owned filters against all C. Both cost
+  // functions must price it alike, and its wire term must follow x's
+  // volume, not y's.
   const ProcessGrid grid{1, 4, 1, 1};
-  const CommModel comm(kMachine);
-  RooflineComputeModel compute(kMachine);
-  const LayerCost train =
-      conv_layer_cost(desc, grid, comm, compute, 4,
-                      ChannelFwdSchedule::kReduceScatterY);
-  const LayerCost serve =
-      conv_layer_cost(desc, grid, comm, compute, 4,
-                      ChannelFwdSchedule::kAllgatherX);
-  // Same FLOPs either way (C×F work split differently), identical backward.
-  EXPECT_EQ(train.bpx_compute, serve.bpx_compute);
-  EXPECT_EQ(train.bpx_halo, serve.bpx_halo);
-  EXPECT_EQ(train.allreduce, serve.allreduce);
-  // x is 8× larger than y here, so the allgather-x forward pays more wire.
-  EXPECT_GT(serve.fp_halo, train.fp_halo);
-  // And inference_cost prices the allgather-x path end to end.
-  core::NetworkBuilder nb;
-  const int in = nb.input(Shape4{desc.n, desc.c, desc.h, desc.w});
-  nb.conv("c", in, static_cast<int>(desc.f), desc.k, 1, desc.p);
-  const auto net = nb.take();
-  const auto strategy = core::Strategy::uniform(net.size(), grid);
-  const auto infer = inference_cost(net, strategy, kMachine);
-  ASSERT_TRUE(infer.layers[1].has_value());
-  EXPECT_EQ(infer.layers[1]->fp_halo, serve.fp_halo);
+  const auto price = [&](std::int64_t c, int f) {
+    core::NetworkBuilder nb;
+    const int in = nb.input(Shape4{4, c, 32, 32});
+    nb.conv("c", in, f, 3, 1, 1);
+    const auto net = nb.take();
+    const auto strategy = core::Strategy::uniform(net.size(), grid);
+    const auto train = network_cost(net, strategy, kMachine);
+    const auto infer = inference_cost(net, strategy, kMachine);
+    if (!train.layers[1] || !infer.layers[1]) {
+      ADD_FAILURE() << "conv layer not priced";
+      return LayerCost{};
+    }
+    EXPECT_EQ(infer.layers[1]->fp_compute, train.layers[1]->fp_compute);
+    EXPECT_EQ(infer.layers[1]->fp_halo, train.layers[1]->fp_halo);
+    return *infer.layers[1];
+  };
+  const LayerCost base = price(64, 8);
+  EXPECT_GT(base.fp_halo, 0.0);
+  // 8× the filters (y's volume) leaves the forward wire term alone ...
+  EXPECT_EQ(price(64, 64).fp_halo, base.fp_halo);
+  // ... while 2× the channels (x's volume) grows it.
+  EXPECT_GT(price(128, 8).fp_halo, base.fp_halo);
 }
 
 /// input → conv c1 → conv head: nothing consumes c1's dL/dx.
