@@ -1,13 +1,21 @@
 // google-benchmark microbenchmarks for the local compute kernels — the
 // GEMM-backed convolution passes (forward, backward-data, backward-filter)
-// and the raw GEMM, on shrunken versions of the Fig. 2/3 layer geometries.
+// and the raw GEMM, on shrunken versions of the Fig. 2/3 layer geometries,
+// plus the non-conv layers (pooling, batchnorm, ReLU, residual add, box
+// copy) on resnet_sample's per-rank shapes.
 //
 // Items processed are FLOP counts (2·N·F·H̃·W̃·C·Kh·Kw per conv pass), so
-// items_per_second reads directly as FLOP/s. The *_threads variants sweep
+// items_per_second reads directly as FLOP/s; the non-conv captures count
+// input elements instead. The *_threads variants sweep
 // the intra-rank pool budget to expose kernel strong-scaling.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "bench/kernel_shapes.hpp"
+#include "kernels/activations.hpp"
+#include "kernels/batchnorm.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/pooling.hpp"
@@ -97,21 +105,172 @@ void bench_backward_filter(benchmark::State& state, const LayerArgs& a) {
                                                     conv_flops(a)));
 }
 
+// ---------------------------------------------------------------------------
+// Non-conv layers on resnet_sample's per-rank shapes (8 samples): res2
+// activations 8×32×16², res5 8×256×2², pool1 8×8×32² with 1-pixel margins.
+// Items are elements of the layer input, so items_per_second reads as
+// elements/s.
+// ---------------------------------------------------------------------------
+
+constexpr Shape4 kRes2Act{8, 32, 16, 16};
+constexpr Shape4 kRes5Act{8, 256, 2, 2};
+
+Box4 full_box(const Shape4& s) {
+  Box4 b;
+  for (int d = 0; d < 4; ++d) b.ext[d] = s[d];
+  return b;
+}
+
+Tensor<float> random_tensor(const Shape4& s, std::uint64_t seed) {
+  Tensor<float> t(s);
+  Rng rng(seed);
+  t.fill_uniform(rng);
+  return t;
+}
+
+/// pool1: 3×3/2 pad-1 max/average pooling of an 8×8×32² input held with
+/// 1-pixel margins, 16² outputs.
 void bench_pool(benchmark::State& state, PoolMode mode) {
   PoolParams p{3, 3, 2, 2, 1, 1, mode};
-  Tensor<float> x(Shape4{4, 64, 58, 58});
-  Tensor<float> y(Shape4{4, 64, 28, 28});
+  Tensor<float> x = random_tensor(Shape4{8, 8, 34, 34}, 8);
+  Tensor<float> y(Shape4{8, 8, 16, 16});
   Tensor<std::int64_t> am(y.shape());
-  Rng rng(8);
-  x.fill_uniform(rng);
   for (auto _ : state) {
     pool2d_forward(x, Origin2{-1, -1}, y, Origin2{0, 0},
                    mode == PoolMode::kMax ? &am : nullptr, Origin2{0, 0}, p,
-                   Range2{0, 28, 0, 28}, 56, 56);
+                   Range2{0, 16, 0, 16}, 32, 32);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
-  // One comparison/add per window element.
-  state.SetItemsProcessed(state.iterations() * y.size() * p.kh * p.kw);
+  state.SetItemsProcessed(state.iterations() * 8 * 8 * 32 * 32);
+}
+
+/// pool1's backward: gather dx (8×8×32²) from dy and the argmax.
+void bench_pool_backward(benchmark::State& state, PoolMode mode) {
+  PoolParams p{3, 3, 2, 2, 1, 1, mode};
+  Tensor<float> x = random_tensor(Shape4{8, 8, 34, 34}, 8);
+  Tensor<float> y(Shape4{8, 8, 16, 16});
+  Tensor<std::int64_t> am(y.shape());
+  pool2d_forward(x, Origin2{-1, -1}, y, Origin2{0, 0}, &am, Origin2{0, 0}, p,
+                 Range2{0, 16, 0, 16}, 32, 32);
+  Tensor<float> dy = random_tensor(y.shape(), 9);
+  Tensor<float> dx(Shape4{8, 8, 32, 32});
+  for (auto _ : state) {
+    pool2d_backward(dy, Origin2{0, 0}, mode == PoolMode::kMax ? &am : nullptr, dx,
+                    Origin2{0, 0}, p, Range2{0, 32, 0, 32}, 16, 16, 32);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * dx.size());
+}
+
+/// Per-channel statistics and coefficients of x, as the layer computes them.
+struct BnStats {
+  std::vector<float> mean, invstd, gamma, beta;
+};
+
+BnStats bn_stats(const Tensor<float>& x) {
+  const std::int64_t C = x.shape().c;
+  std::vector<double> sum(C), sumsq(C);
+  bn_partial_sums(x, full_box(x.shape()), sum.data(), sumsq.data());
+  const double count = double(x.shape().n) * x.shape().h * x.shape().w;
+  BnStats st{std::vector<float>(C), std::vector<float>(C),
+             std::vector<float>(C, 1.0f), std::vector<float>(C, 0.0f)};
+  for (std::int64_t c = 0; c < C; ++c) {
+    const double m = sum[c] / count;
+    st.mean[c] = float(m);
+    st.invstd[c] = float(1.0 / std::sqrt(sumsq[c] / count - m * m + 1e-5));
+  }
+  return st;
+}
+
+/// Training forward: per-channel sums, then the normalize-and-scale apply.
+void bench_bn_forward(benchmark::State& state, Shape4 s) {
+  const Tensor<float> x = random_tensor(s, 10);
+  Tensor<float> y(s);
+  const Box4 box = full_box(s);
+  const BnStats st = bn_stats(x);
+  std::vector<double> sum(s.c), sumsq(s.c);
+  for (auto _ : state) {
+    bn_partial_sums(x, box, sum.data(), sumsq.data());
+    bn_forward_apply(x, box, y, box, st.mean.data(), st.invstd.data(),
+                     st.gamma.data(), st.beta.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+
+/// Backward: the Σdy / Σdy·x̂ reduction, then the dx apply.
+void bench_bn_backward(benchmark::State& state, Shape4 s) {
+  const Tensor<float> x = random_tensor(s, 11);
+  const Tensor<float> dy = random_tensor(s, 12);
+  Tensor<float> dx(s);
+  const Box4 box = full_box(s);
+  const BnStats st = bn_stats(x);
+  std::vector<double> sdy(s.c), sdyx(s.c);
+  const double count = double(s.n) * s.h * s.w;
+  for (auto _ : state) {
+    bn_backward_reduce(x, box, dy, box, st.mean.data(), st.invstd.data(),
+                       sdy.data(), sdyx.data());
+    bn_backward_apply(x, box, dy, box, dx, box, st.mean.data(), st.invstd.data(),
+                      st.gamma.data(), sdy.data(), sdyx.data(), count);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+
+void bench_relu_forward(benchmark::State& state, Shape4 s) {
+  const Tensor<float> x = random_tensor(s, 13);
+  Tensor<float> y(s);
+  const Box4 box = full_box(s);
+  for (auto _ : state) {
+    relu_forward(x, box, y, box);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+
+void bench_relu_backward(benchmark::State& state, Shape4 s) {
+  const Tensor<float> x = random_tensor(s, 14);
+  const Tensor<float> dy = random_tensor(s, 15);
+  Tensor<float> dx(s);
+  const Box4 box = full_box(s);
+  for (auto _ : state) {
+    relu_backward(x, box, dy, box, dx, box);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+
+/// The residual add: y += the shortcut branch.
+void bench_add_inplace(benchmark::State& state, Shape4 s) {
+  Tensor<float> y = random_tensor(s, 16);
+  const Tensor<float> b = random_tensor(s, 17);
+  const Box4 box = full_box(s);
+  for (auto _ : state) {
+    add_inplace(y, box, b, box);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * y.size());
+}
+
+/// A dense-to-dense box copy (the residual add's first operand, the add
+/// backward's fan-out).
+void bench_copy_box(benchmark::State& state, Shape4 s) {
+  const Tensor<float> x = random_tensor(s, 18);
+  Tensor<float> y(s);
+  const Box4 box = full_box(s);
+  for (auto _ : state) {
+    copy_box(x, box, y, box);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -173,6 +332,19 @@ BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv6_1, kMesh61);
 BENCHMARK_CAPTURE(bench_backward_filter, small_plane, kSmallPlane);
 BENCHMARK_CAPTURE(bench_pool, max, distconv::kernels::PoolMode::kMax);
 BENCHMARK_CAPTURE(bench_pool, average, distconv::kernels::PoolMode::kAverage);
+BENCHMARK_CAPTURE(bench_pool_backward, max, distconv::kernels::PoolMode::kMax);
+BENCHMARK_CAPTURE(bench_bn_forward, res2, kRes2Act);
+BENCHMARK_CAPTURE(bench_bn_forward, res5, kRes5Act);
+BENCHMARK_CAPTURE(bench_bn_backward, res2, kRes2Act);
+BENCHMARK_CAPTURE(bench_bn_backward, res5, kRes5Act);
+BENCHMARK_CAPTURE(bench_relu_forward, res2, kRes2Act);
+BENCHMARK_CAPTURE(bench_relu_forward, res5, kRes5Act);
+BENCHMARK_CAPTURE(bench_relu_backward, res2, kRes2Act);
+BENCHMARK_CAPTURE(bench_relu_backward, res5, kRes5Act);
+BENCHMARK_CAPTURE(bench_add_inplace, res2, kRes2Act);
+BENCHMARK_CAPTURE(bench_add_inplace, res5, kRes5Act);
+BENCHMARK_CAPTURE(bench_copy_box, res2, kRes2Act);
+BENCHMARK_CAPTURE(bench_copy_box, res5, kRes5Act);
 BENCHMARK_CAPTURE(bench_gemm, conv1, kConv1);
 BENCHMARK_CAPTURE(bench_gemm, res3b, kRes3b);
 BENCHMARK_CAPTURE(bench_gemm, mesh_conv1_1, kMesh11);

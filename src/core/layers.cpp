@@ -1,5 +1,6 @@
 #include "core/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/model.hpp"
@@ -689,14 +690,16 @@ void GlobalAvgPoolLayer::forward(Model& model, int index, LayerRt& rt) const {
   DistTensor<float>& yt = rt.y.t;
   const Box4 ib = xt.interior_box();
   const std::int64_t n_loc = ib.ext[0], C = ib.ext[1];
+  const Tensor<float>& xb = xt.buffer();
+  const Strides4& xst = xb.strides();
   std::vector<double> sums(static_cast<std::size_t>(n_loc) * C, 0.0);
   for (std::int64_t n = 0; n < n_loc; ++n) {
     for (std::int64_t c = 0; c < C; ++c) {
+      const float* plane = xb.data() + xst.offset(n, c, ib.off[2], ib.off[3]);
       double s = 0;
       for (std::int64_t h = 0; h < ib.ext[2]; ++h) {
-        for (std::int64_t w = 0; w < ib.ext[3]; ++w) {
-          s += xt.buffer()(n, c, ib.off[2] + h, ib.off[3] + w);
-        }
+        const float* row = plane + h * xst.h;
+        for (std::int64_t w = 0; w < ib.ext[3]; ++w) s += row[w];
       }
       sums[n * C + c] = s;
     }
@@ -729,13 +732,14 @@ void GlobalAvgPoolLayer::backward(Model& model, int index, LayerRt& rt) const {
   comm::allreduce(model.spatial_comm(index), vals.data(), vals.size(),
                   comm::ReduceOp::kSum);
   const double scale = 1.0 / (double(rt.in_shapes[0].h) * rt.in_shapes[0].w);
+  Tensor<float>& dxb = port.dx.buffer();
+  const Strides4& dxst = dxb.strides();
   for (std::int64_t n = 0; n < n_loc; ++n) {
     for (std::int64_t c = 0; c < C; ++c) {
       const float g = static_cast<float>(vals[n * C + c] * scale);
+      float* plane = dxb.data() + dxst.offset(n, c, ib.off[2], ib.off[3]);
       for (std::int64_t h = 0; h < ib.ext[2]; ++h) {
-        for (std::int64_t w = 0; w < ib.ext[3]; ++w) {
-          port.dx.buffer()(n, c, ib.off[2] + h, ib.off[3] + w) = g;
-        }
+        std::fill_n(plane + h * dxst.h, ib.ext[3], g);
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "core/model.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -140,6 +141,29 @@ class SmallGradBucketOp final : public comm::NbOp {
   std::unique_ptr<comm::NbAllreduceRd<float>> ar_;
 };
 
+/// Halo plans exchange with immediate neighbours only, so each margin must
+/// fit in the neighbouring block that fills it (whatever lies past the
+/// global boundary is padding). Raises an Error naming the layer, the tensor
+/// and the dim, instead of the halo plan's anonymous requirement failure.
+void require_margins_fit(const std::string& layer, const char* tensor,
+                         const char* dim, const DimPartition& part,
+                         const MarginTable& m) {
+  for (int p = 0; p < part.parts(); ++p) {
+    if (p > 0) {
+      DC_REQUIRE(std::min(m.lo[p], part.start(p)) <= part.size(p - 1), "layer '",
+                 layer, "': ", tensor, " ", dim, " margin ", m.lo[p],
+                 " below part ", p, " is wider than the neighbour's block of ",
+                 part.size(p - 1), ": partition too fine for the stencil");
+    }
+    if (p + 1 < part.parts()) {
+      DC_REQUIRE(std::min(m.hi[p], part.global() - part.end(p)) <= part.size(p + 1),
+                 "layer '", layer, "': ", tensor, " ", dim, " margin ", m.hi[p],
+                 " above part ", p, " is wider than the neighbour's block of ",
+                 part.size(p + 1), ": partition too fine for the stencil");
+    }
+  }
+}
+
 }  // namespace
 
 Model::Model(const NetworkSpec& spec, comm::Comm& comm, const Strategy& strategy,
@@ -254,6 +278,9 @@ void Model::build_tensors(const std::vector<Shape4>& shapes) {
       ymw.merge_max(forward_stencil_margins(
           out_dist.w, DimPartition(shapes[j].w, rt.grid.w), st));
     }
+    const std::string& name = spec.layer(i).name();
+    require_margins_fit(name, "y", "H", out_dist.h, ymh);
+    require_margins_fit(name, "y", "W", out_dist.w, ymw);
     rt.y.t = DistTensor<float>(comm_, out_dist, ymh, ymw);
     rt.y.init_halo();
 
@@ -270,6 +297,8 @@ void Model::build_tensors(const std::vector<Shape4>& shapes) {
         dmw = transpose_stencil_margins(
             DimPartition(rt.in_shapes[0].w, rt.grid.w), out_dist.w, st);
       }
+      require_margins_fit(name, "dy", "H", out_dist.h, dmh);
+      require_margins_fit(name, "dy", "W", out_dist.w, dmw);
       rt.dy.t = DistTensor<float>(comm_, out_dist, dmh, dmw);
       rt.dy.init_halo();
     }
@@ -293,6 +322,8 @@ void Model::build_tensors(const std::vector<Shape4>& shapes) {
           smh = forward_stencil_margins(in_dist_mine.h, out_dist.h, st);
           smw = forward_stencil_margins(in_dist_mine.w, out_dist.w, st);
         }
+        require_margins_fit(name, "staged x", "H", in_dist_mine.h, smh);
+        require_margins_fit(name, "staged x", "W", in_dist_mine.w, smw);
         port.staging = std::make_unique<ActTensor>();
         port.staging->t = DistTensor<float>(comm_, in_dist_mine, smh, smw);
         port.staging->init_halo();

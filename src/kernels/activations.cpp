@@ -12,36 +12,17 @@ void check_boxes(const Box4& a, const Box4& b) {
   }
 }
 
-/// Run fn(n, c, h) over every row of the box, rows spread across the
-/// intra-rank pool (each row's output is disjoint). Rows are short for the
-/// element-wise kernels, so chunk a few dozen per task.
-template <typename Fn>
-void for_rows(const Box4& box, Fn&& fn) {
-  const std::int64_t ch = box.ext[1] * box.ext[2];
-  parallel::parallel_for(
-      0, box.ext[0] * ch, 32, [&](std::int64_t t0, std::int64_t t1) {
-        for (std::int64_t t = t0; t < t1; ++t) {
-          fn(t / ch, (t / box.ext[2]) % box.ext[1], t % box.ext[2]);
-        }
-      });
-}
-
 }  // namespace
 
 void relu_forward(const Tensor<float>& x, const Box4& xbox, Tensor<float>& y,
                   const Box4& ybox) {
   check_boxes(xbox, ybox);
-  const auto& xst = x.strides();
-  const auto& yst = y.strides();
-  for_rows(xbox, [&](std::int64_t n, std::int64_t c, std::int64_t h) {
-    const float* xr = x.data() + xst.offset(xbox.off[0] + n, xbox.off[1] + c,
-                                            xbox.off[2] + h, xbox.off[3]);
-    float* yr = y.data() + yst.offset(ybox.off[0] + n, ybox.off[1] + c,
-                                      ybox.off[2] + h, ybox.off[3]);
-    for (std::int64_t w = 0; w < xbox.ext[3]; ++w) {
-      yr[w] = xr[w] > 0.0f ? xr[w] : 0.0f;
-    }
-  });
+  for_each_run(xbox, box_ref(x, xbox), box_ref(y, ybox),
+               [](const float* xr, float* yr, std::int64_t len) {
+                 for (std::int64_t i = 0; i < len; ++i) {
+                   yr[i] = xr[i] > 0.0f ? xr[i] : 0.0f;
+                 }
+               });
 }
 
 void relu_backward(const Tensor<float>& x, const Box4& xbox,
@@ -49,44 +30,29 @@ void relu_backward(const Tensor<float>& x, const Box4& xbox,
                    const Box4& dxbox) {
   check_boxes(xbox, dybox);
   check_boxes(xbox, dxbox);
-  const auto& xst = x.strides();
-  const auto& dyst = dy.strides();
-  const auto& dxst = dx.strides();
-  for_rows(xbox, [&](std::int64_t n, std::int64_t c, std::int64_t h) {
-    const float* xr = x.data() + xst.offset(xbox.off[0] + n, xbox.off[1] + c,
-                                            xbox.off[2] + h, xbox.off[3]);
-    const float* gr = dy.data() + dyst.offset(dybox.off[0] + n, dybox.off[1] + c,
-                                              dybox.off[2] + h, dybox.off[3]);
-    float* dr = dx.data() + dxst.offset(dxbox.off[0] + n, dxbox.off[1] + c,
-                                        dxbox.off[2] + h, dxbox.off[3]);
-    for (std::int64_t w = 0; w < xbox.ext[3]; ++w) {
-      dr[w] = xr[w] > 0.0f ? gr[w] : 0.0f;
-    }
-  });
+  for_each_run(xbox, box_ref(x, xbox), box_ref(dy, dybox), box_ref(dx, dxbox),
+               [](const float* xr, const float* gr, float* dr, std::int64_t len) {
+                 for (std::int64_t i = 0; i < len; ++i) {
+                   dr[i] = xr[i] > 0.0f ? gr[i] : 0.0f;
+                 }
+               });
 }
 
 void add_inplace(Tensor<float>& dst, const Box4& dbox, const Tensor<float>& src,
                  const Box4& sbox) {
   check_boxes(dbox, sbox);
-  const auto& dst_st = dst.strides();
-  const auto& sst = src.strides();
-  for_rows(dbox, [&](std::int64_t n, std::int64_t c, std::int64_t h) {
-    float* dr = dst.data() + dst_st.offset(dbox.off[0] + n, dbox.off[1] + c,
-                                           dbox.off[2] + h, dbox.off[3]);
-    const float* sr = src.data() + sst.offset(sbox.off[0] + n, sbox.off[1] + c,
-                                              sbox.off[2] + h, sbox.off[3]);
-    for (std::int64_t w = 0; w < dbox.ext[3]; ++w) dr[w] += sr[w];
-  });
+  for_each_run(dbox, box_ref(dst, dbox), box_ref(src, sbox),
+               [](float* dr, const float* sr, std::int64_t len) {
+                 for (std::int64_t i = 0; i < len; ++i) dr[i] += sr[i];
+               });
 }
 
 void bias_forward(Tensor<float>& y, const Box4& ybox, const float* bias) {
-  const auto& yst = y.strides();
-  for_rows(ybox, [&](std::int64_t n, std::int64_t c, std::int64_t h) {
-    float* yr = y.data() + yst.offset(ybox.off[0] + n, ybox.off[1] + c,
-                                      ybox.off[2] + h, ybox.off[3]);
-    const float b = bias[c];
-    for (std::int64_t w = 0; w < ybox.ext[3]; ++w) yr[w] += b;
-  });
+  for_each_channel_run(ybox, box_ref(y, ybox),
+                       [bias](std::int64_t c, float* yr, std::int64_t len) {
+                         const float b = bias[c];
+                         for (std::int64_t i = 0; i < len; ++i) yr[i] += b;
+                       });
 }
 
 void bias_backward(const Tensor<float>& dy, const Box4& dybox, float* dbias,

@@ -1,11 +1,16 @@
-// Tensor<T>: an owning, contiguous NCHW tensor, plus strided-box copy
-// helpers used by halo packing and redistribution.
+// Tensor<T>: an owning, contiguous NCHW tensor, plus the contiguous-run
+// walker over strided boxes that the element-wise kernels and the box copy
+// helpers (halo packing, redistribution) run on.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "tensor/shape.hpp"
 
@@ -63,6 +68,119 @@ class Tensor {
 };
 
 // ---------------------------------------------------------------------------
+// Contiguous-run walker: the one loop every element-wise kernel and box copy
+// runs on.
+// ---------------------------------------------------------------------------
+
+/// One operand of for_each_run: the first element of a box inside a strided
+/// NCHW buffer whose w stride is 1.
+template <typename T>
+struct BoxRef {
+  T* origin;
+  std::int64_t stride[3];  ///< n, c, h strides of the buffer
+};
+
+/// A box of a tensor.
+template <typename T>
+BoxRef<T> box_ref(Tensor<T>& t, const Box4& b) {
+  const Strides4& st = t.strides();
+  return {t.data() + st.offset(b.off[0], b.off[1], b.off[2], b.off[3]),
+          {st.n, st.c, st.h}};
+}
+
+template <typename T>
+BoxRef<const T> box_ref(const Tensor<T>& t, const Box4& b) {
+  const Strides4& st = t.strides();
+  return {t.data() + st.offset(b.off[0], b.off[1], b.off[2], b.off[3]),
+          {st.n, st.c, st.h}};
+}
+
+/// A buffer holding exactly the box, in canonical NCHW order (pack/unpack
+/// staging).
+template <typename T>
+BoxRef<T> dense_ref(T* p, const Box4& b) {
+  return {p, {b.ext[1] * b.ext[2] * b.ext[3], b.ext[2] * b.ext[3], b.ext[3]}};
+}
+
+namespace internal {
+
+/// Minimum elements per pool chunk of a run walk.
+inline constexpr std::int64_t kRunGrain = 1 << 14;
+
+/// Walks the box extents in maximal contiguous runs. The run starts as one
+/// w row; dim d joins it while every operand's stride of d equals the run
+/// length so far (the box spans every dim below d in full in every
+/// operand), and never for d < Keep. fn(c, ptrs..., len) receives the
+/// box-relative channel of the run (meaningful only for Keep == 2), one
+/// pointer per operand and the run length. Elements are independent, so the
+/// pool splits the walk at any element.
+template <int Keep, typename Fn, typename Ops, std::size_t... I>
+void walk_runs(const Box4& box, const Fn& fn, const Ops& ops,
+               std::index_sequence<I...>) {
+  if (box.volume() <= 0) return;
+  const std::int64_t* ext = box.ext;
+  int k = 3;  // dims [0, k) index the runs, dims [k, 4) lie inside one
+  std::int64_t run = ext[3];
+  while (k > Keep &&
+         (ext[k - 1] == 1 || ((std::get<I>(ops).stride[k - 1] == run) && ...))) {
+    --k;
+    run *= ext[k];
+  }
+  std::int64_t runs = 1;
+  for (int d = 0; d < k; ++d) runs *= ext[d];
+  parallel::parallel_for(0, runs * run, kRunGrain, [&](std::int64_t e0, std::int64_t e1) {
+    std::int64_t idx[3] = {0, 0, 0};  // merged dims stay 0
+    std::int64_t r = e0 / run, o = e0 % run;
+    for (int d = k - 1; d >= 0; --d) {
+      idx[d] = r % ext[d];
+      r /= ext[d];
+    }
+    for (std::int64_t e = e0; e < e1;) {
+      const std::int64_t len = std::min(run - o, e1 - e);
+      fn(idx[1],
+         (std::get<I>(ops).origin + idx[0] * std::get<I>(ops).stride[0] +
+          idx[1] * std::get<I>(ops).stride[1] +
+          idx[2] * std::get<I>(ops).stride[2] + o)...,
+         len);
+      e += len;
+      o = 0;
+      for (int d = k - 1; d >= 0; --d) {
+        if (++idx[d] < ext[d]) break;
+        idx[d] = 0;
+      }
+    }
+  });
+}
+
+}  // namespace internal
+
+/// for_each_run(box, operands..., fn): call fn(ptrs..., len) over `box` in
+/// contiguous runs, one pointer per operand (BoxRef, each over a box with
+/// box's extents). Runs merge trailing dims across rows, channels and
+/// samples wherever every operand is dense there, so a margin-free tensor is
+/// one run split only by the pool.
+template <typename... Args>
+void for_each_run(const Box4& box, Args&&... args) {
+  constexpr std::size_t K = sizeof...(Args) - 1;
+  const auto all = std::forward_as_tuple(args...);
+  const auto& fn = std::get<K>(all);
+  internal::walk_runs<0>(
+      box, [&](std::int64_t, auto... run) { fn(run...); }, all,
+      std::make_index_sequence<K>{});
+}
+
+/// for_each_channel_run(box, operands..., fn): as for_each_run, but runs
+/// never cross a channel boundary and fn(c, ptrs..., len) also receives the
+/// run's box-relative channel (per-channel kernels).
+template <typename... Args>
+void for_each_channel_run(const Box4& box, Args&&... args) {
+  constexpr std::size_t K = sizeof...(Args) - 1;
+  const auto all = std::forward_as_tuple(args...);
+  internal::walk_runs<2>(box, std::get<K>(all), all,
+                         std::make_index_sequence<K>{});
+}
+
+// ---------------------------------------------------------------------------
 // Box copy helpers (canonical NCHW element order within the box).
 // ---------------------------------------------------------------------------
 
@@ -70,56 +188,29 @@ class Tensor {
 /// elements, canonical order).
 template <typename T>
 void pack_box(const Tensor<T>& src, const Box4& box, T* dst) {
-  const auto& st = src.strides();
-  const T* base = src.data();
-  std::int64_t idx = 0;
-  for (std::int64_t n = 0; n < box.ext[0]; ++n) {
-    for (std::int64_t c = 0; c < box.ext[1]; ++c) {
-      for (std::int64_t h = 0; h < box.ext[2]; ++h) {
-        const T* row = base + st.offset(box.off[0] + n, box.off[1] + c,
-                                        box.off[2] + h, box.off[3]);
-        std::memcpy(dst + idx, row, sizeof(T) * box.ext[3]);
-        idx += box.ext[3];
-      }
-    }
-  }
+  for_each_run(box, box_ref(src, box), dense_ref(dst, box),
+               [](const T* s, T* d, std::int64_t len) {
+                 std::memcpy(d, s, sizeof(T) * len);
+               });
 }
 
 /// Copy contiguous `src` (canonical order) into a box of `dst`.
 template <typename T>
 void unpack_box(const T* src, const Box4& box, Tensor<T>& dst) {
-  const auto& st = dst.strides();
-  T* base = dst.data();
-  std::int64_t idx = 0;
-  for (std::int64_t n = 0; n < box.ext[0]; ++n) {
-    for (std::int64_t c = 0; c < box.ext[1]; ++c) {
-      for (std::int64_t h = 0; h < box.ext[2]; ++h) {
-        T* row = base + st.offset(box.off[0] + n, box.off[1] + c, box.off[2] + h,
-                                  box.off[3]);
-        std::memcpy(row, src + idx, sizeof(T) * box.ext[3]);
-        idx += box.ext[3];
-      }
-    }
-  }
+  for_each_run(box, dense_ref(src, box), box_ref(dst, box),
+               [](const T* s, T* d, std::int64_t len) {
+                 std::memcpy(d, s, sizeof(T) * len);
+               });
 }
 
 /// Add contiguous `src` (canonical order) into a box of `dst` (halo
 /// accumulation).
 template <typename T>
 void unpack_box_accumulate(const T* src, const Box4& box, Tensor<T>& dst) {
-  const auto& st = dst.strides();
-  T* base = dst.data();
-  std::int64_t idx = 0;
-  for (std::int64_t n = 0; n < box.ext[0]; ++n) {
-    for (std::int64_t c = 0; c < box.ext[1]; ++c) {
-      for (std::int64_t h = 0; h < box.ext[2]; ++h) {
-        T* row = base + st.offset(box.off[0] + n, box.off[1] + c, box.off[2] + h,
-                                  box.off[3]);
-        for (std::int64_t w = 0; w < box.ext[3]; ++w) row[w] += src[idx + w];
-        idx += box.ext[3];
-      }
-    }
-  }
+  for_each_run(box, dense_ref(src, box), box_ref(dst, box),
+               [](const T* s, T* d, std::int64_t len) {
+                 for (std::int64_t i = 0; i < len; ++i) d[i] += s[i];
+               });
 }
 
 /// Direct tensor-to-tensor box copy (boxes must have equal extents).
@@ -129,19 +220,10 @@ void copy_box(const Tensor<T>& src, const Box4& src_box, Tensor<T>& dst,
   for (int d = 0; d < 4; ++d) {
     DC_REQUIRE(src_box.ext[d] == dst_box.ext[d], "box extent mismatch in dim ", d);
   }
-  const auto& sst = src.strides();
-  const auto& dst_st = dst.strides();
-  for (std::int64_t n = 0; n < src_box.ext[0]; ++n) {
-    for (std::int64_t c = 0; c < src_box.ext[1]; ++c) {
-      for (std::int64_t h = 0; h < src_box.ext[2]; ++h) {
-        const T* s = src.data() + sst.offset(src_box.off[0] + n, src_box.off[1] + c,
-                                             src_box.off[2] + h, src_box.off[3]);
-        T* d = dst.data() + dst_st.offset(dst_box.off[0] + n, dst_box.off[1] + c,
-                                          dst_box.off[2] + h, dst_box.off[3]);
-        std::memcpy(d, s, sizeof(T) * src_box.ext[3]);
-      }
-    }
-  }
+  for_each_run(src_box, box_ref(src, src_box), box_ref(dst, dst_box),
+               [](const T* s, T* d, std::int64_t len) {
+                 std::memcpy(d, s, sizeof(T) * len);
+               });
 }
 
 }  // namespace distconv

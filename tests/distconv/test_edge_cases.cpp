@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/layers.hpp"
 #include "core/model.hpp"
@@ -138,6 +139,27 @@ TEST(EdgeCases, FullMeshTestModelTrainsUnderSpatialGrid) {
     }
     EXPECT_LT(last, first);
   });
+}
+
+TEST(EdgeCases, HaloWiderThanNeighbourBlockNamesTheLayer) {
+  // Four H parts of the 32² mesh test model: by conv3_1 the planes are 4
+  // rows, one per rank, while the following 3×3 stencils need 2-row
+  // margins. Model construction must say which layer and margin cannot be
+  // filled from the neighbouring block.
+  comm::World world(4);
+  try {
+    world.run([](comm::Comm& comm) {
+      const NetworkSpec spec = models::make_mesh_model_test(4, 32);
+      Model model(spec, comm, Strategy::uniform(spec.size(), ProcessGrid{1, 1, 4, 1}),
+                  7);
+    });
+    FAIL() << "model construction should have raised";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("layer 'conv3_1_relu'"), std::string::npos) << what;
+    EXPECT_NE(what.find("y H margin 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("neighbour's block of 1"), std::string::npos) << what;
+  }
 }
 
 TEST(EdgeCases, OddSizesWithUnevenPartitions) {
